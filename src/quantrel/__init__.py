@@ -17,8 +17,7 @@ from .errors import (AmbiguousParseError, EmptyRestrictorError,
                      LexiconFormatError, ParseFailureError, QuantrelError,
                      ShapeMismatchError, UnknownWordError)
 from .fuzzyset import (FuzzyRelation, FuzzySet, crisp_forward_image,
-                       intersect, proportion, scale, sigma_count, union,
-                       verb_image)
+                       intersect, proportion, scale, sigma_count, verb_image)
 from .grammar import (ParseTree, SentenceForm, Token, classify, derivations,
                       parse, tokenize)
 from .lexicon import dump_lexicon, load_lexicon
@@ -32,7 +31,7 @@ from .semantics import (Model, MorphismPipeline, SentenceWords, TruthReport,
                         eval_crisp_truth, eval_zadeh_direct, extract_words,
                         lexical_state, verb_between, verb_state)
 from .vrel import (CrispRel, IndexSet, VRel, check_snake, compose, epsilon,
-                   eta, identity, include, product_set, snake_identities,
-                   swap, tensor_rel)
+                   eta, identity, include, snake_identities, swap,
+                   tensor_rel)
 
 __version__ = "0.1.0"

@@ -91,11 +91,7 @@ def cmd_laws(args) -> int:
     grades = GradeLattice([float(g) for g in args.grades.split(",")])
     universe = IndexSet([f"u{i + 1}" for i in range(args.universe_size)])
     obj = PowersetObject(universe, grades)
-    print(f"quantale: {quantale.name}")
-    print(f"universe_size: {len(universe)}")
-    print(f"grades: {','.join(f'{g:g}' for g in grades)}")
-    print(f"object_size: {len(obj)}")
-
+    # Run every law before printing, so a size guard leaves no partial report.
     lines: List[str] = []
     left, right = snake_identities(obj.index, quantale)
     lines.append(f"snake.left: {'pass' if left else 'fail'}")
@@ -109,6 +105,10 @@ def cmd_laws(args) -> int:
     lines.append(f"inclusion.functoriality: {'pass' if functorial else 'fail'}")
 
     ok = all(line.endswith("pass") for line in lines)
+    print(f"quantale: {quantale.name}")
+    print(f"universe_size: {len(universe)}")
+    print(f"grades: {','.join(f'{g:g}' for g in grades)}")
+    print(f"object_size: {len(obj)}")
     for line in lines:
         print(line)
     print(f"result: {'pass' if ok else 'fail'}")

@@ -5,7 +5,7 @@ cardinality, scaling, and the max-min image of a graded binary relation.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from .errors import EmptyRestrictorError, QuantrelError, ShapeMismatchError
 from .vrel import CrispRel, IndexSet
@@ -125,11 +125,14 @@ def intersect(a: FuzzySet, b: FuzzySet) -> FuzzySet:
     return FuzzySet(a.universe, map(min, a.grades, b.grades))
 
 
-def union(a: FuzzySet, b: FuzzySet) -> FuzzySet:
-    """Pointwise maximum of memberships."""
-    if a.universe != b.universe:
-        raise ShapeMismatchError("union needs a shared universe")
-    return FuzzySet(a.universe, map(max, a.grades, b.grades))
+def proportion_grades(b: Sequence[float], a: Sequence[float],
+                      threshold: float) -> Optional[float]:
+    """Relative cardinality of grade tuple b in grade tuple a:
+    sigma(a & b) / sigma(a), or None when sigma(a) is zero."""
+    denom = sum(g for g in a if g >= threshold)
+    if denom == 0.0:
+        return None
+    return sum(m for m in map(min, a, b) if m >= threshold) / denom
 
 
 def proportion(b: FuzzySet, a: FuzzySet, threshold: float = 0.0) -> float:
@@ -138,10 +141,27 @@ def proportion(b: FuzzySet, a: FuzzySet, threshold: float = 0.0) -> float:
     Raises EmptyRestrictorError when sigma(a) is zero, which signals an
     empty restrictor set.
     """
-    denom = sigma_count(a, threshold)
-    if denom == 0.0:
+    if a.universe != b.universe:
+        raise ShapeMismatchError("proportion needs a shared universe")
+    p = proportion_grades(b.grades, a.grades, threshold)
+    if p is None:
         raise EmptyRestrictorError("proportion against a set of sigma-count zero")
-    return sigma_count(intersect(a, b), threshold) / denom
+    return p
+
+
+def image_grades(pairs: Mapping[Tuple[object, object], float], universe: IndexSet,
+                 a: Sequence[float]) -> Tuple[float, ...]:
+    """Max-min image of grade tuple a through graded pairs over universe:
+
+        image(b) = max over x of min(a(x), pairs(x, b))
+    """
+    out = [0.0] * len(universe)
+    pos = {u: i for i, u in enumerate(universe.elements)}
+    for (x, y), g in pairs.items():
+        w = min(a[pos[x]], g)
+        if w > 0.0 and w > out[pos[y]]:
+            out[pos[y]] = w
+    return tuple(out)
 
 
 def verb_image(v: FuzzyRelation, a: FuzzySet) -> FuzzySet:
@@ -151,12 +171,7 @@ def verb_image(v: FuzzyRelation, a: FuzzySet) -> FuzzySet:
     """
     if v.universe != a.universe:
         raise ShapeMismatchError("image needs a shared universe")
-    out = {u: 0.0 for u in a.universe.elements}
-    for (x, y), g in v.pairs.items():
-        w = min(a.grade(x), g)
-        if w > out[y]:
-            out[y] = w
-    return FuzzySet(a.universe, (out[u] for u in a.universe.elements))
+    return FuzzySet(a.universe, image_grades(v.pairs, a.universe, a.grades))
 
 
 def scale(a: FuzzySet, k: float) -> FuzzySet:
@@ -170,6 +185,4 @@ def crisp_forward_image(r: CrispRel, a: FuzzySet) -> FuzzySet:
     """Crisp image {y | (x, y) related, x in a} for crisp inputs."""
     if not a.is_crisp():
         raise QuantrelError("crisp_forward_image needs a crisp set")
-    members = a.support()
-    reached = {y for (x, y) in r.pairs if x in members}
-    return FuzzySet.from_support(a.universe, reached)
+    return verb_image(FuzzyRelation.from_crisp(r), a)

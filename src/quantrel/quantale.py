@@ -50,12 +50,6 @@ class Quantale:
         """Least upper bound of a finite family; empty family gives bottom."""
         return max(grades, default=self.bottom)
 
-    def join2(self, a: Grade, b: Grade) -> Grade:
-        return a if a >= b else b
-
-    def meet(self, grades: Iterable[Grade]) -> Grade:
-        return min(grades, default=self.top)
-
     def leq(self, a: Grade, b: Grade) -> bool:
         return a <= b
 

@@ -15,9 +15,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .bialgebra import PowersetObject
 from .errors import EnumerationLimitError, EvaluationError, QuantrelError
-from .fuzzyset import FuzzySet, proportion, scale
+from .fuzzyset import FuzzySet, proportion, proportion_grades, scale
 from .quantale import Grade, Quantale
 from .vrel import IndexSet, VRel
 
@@ -164,11 +163,8 @@ def graded_entry(d: Determiner, a: Sequence[float], b: Sequence[float],
     common members of crisp tuples.
     """
     if isinstance(d, FuzzyQuantifier):
-        denom = sum(g for g in a if g >= threshold)
-        if denom == 0.0:
-            return 0.0
-        num = sum(m for m in map(min, a, b) if m >= threshold)
-        return apply_distribution(d, num / denom)
+        p = proportion_grades(b, a, threshold)
+        return 0.0 if p is None else apply_distribution(d, p)
     if d.kind == "every":
         return 1.0 if all(x <= y for x, y in zip(a, b)) else 0.0
     if d.kind == "some":
@@ -180,14 +176,15 @@ def graded_entry(d: Determiner, a: Sequence[float], b: Sequence[float],
     return 1.0 if sum(1 for x, y in zip(a, b) if x == y == 1.0) == d.n else 0.0
 
 
-def quantifier_vrel(d: Determiner, p: PowersetObject, q: Quantale,
-                    threshold: float = 0.0) -> VRel:
-    """Encode the determiner as a relation between enumerated subsets."""
+def quantifier_vrel(d: Determiner, source: IndexSet, target: IndexSet,
+                    q: Quantale, threshold: float = 0.0) -> VRel:
+    """Encode the determiner as a relation between index sets of grade
+    tuples: restrictor subsets in source, scope subsets in target."""
     if isinstance(d, FuzzyQuantifier) and q.carrier == "boolean":
         raise EvaluationError(
             f"graded determiner {d.name!r} needs a real-valued quantale")
     return VRel.from_function(
-        p.index, p.index, q,
+        source, target, q,
         lambda a, b: graded_entry(d, a, b, threshold))
 
 

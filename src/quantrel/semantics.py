@@ -19,6 +19,11 @@ mode computes the operational reading (apply each determiner to its
 noun by scaling, then score the verb between the two results), which is
 also what the direct method does; the compiled pipeline is still built
 and type-checked, and exhaustive mode evaluates it as a genuine join.
+
+Every structural atom of a pipeline is built by the same constructor
+the law checkers certify: `bialgebra.delta` and `bialgebra.mu`,
+`vrel.epsilon`, `vrel.identity` and `vrel.swap`, and
+`quantifier.quantifier_vrel` for determiners.
 """
 
 from __future__ import annotations
@@ -27,16 +32,17 @@ from dataclasses import dataclass, field
 from functools import reduce
 from typing import Dict, List, Optional, Tuple, Union
 
-from .bialgebra import GradeLattice, PowersetObject
+from .bialgebra import GradeLattice, PowersetObject, delta, mu
 from .errors import (EnumerationLimitError, EvaluationError, QuantrelError,
                      ShapeMismatchError)
-from .fuzzyset import FuzzyRelation, FuzzySet, proportion, verb_image
+from .fuzzyset import (FuzzyRelation, FuzzySet, image_grades, proportion,
+                       proportion_grades, verb_image)
 from .grammar import ParseTree, SentenceForm, classify, parse, tokenize
 from .quantale import Quantale
-from .quantifier import (CrispQuantifier, Determiner, FuzzyQuantifier,
-                         apply_distribution, apply_quantifier_argmax,
-                         gq_holds, graded_entry)
-from .vrel import IndexSet, VRel, compose, tensor_rel
+from .quantifier import (CrispQuantifier, Determiner, apply_distribution,
+                         apply_quantifier_argmax, gq_holds, quantifier_vrel)
+from .vrel import (IndexSet, VRel, compose, epsilon, identity, swap,
+                   tensor_rel)
 
 
 @dataclass
@@ -170,30 +176,21 @@ class _Denotations:
                 raise EvaluationError(f"no denotation for verb phrase {words.vp!r}")
         elif form == SentenceForm.QUANT_SUBJECT:
             # "d n v np": the transitive verb phrase plays the VP role;
-            # its denotation is derived as x -> max_y min(v(x, y), obj(y)).
-            self.vp = _vp_from_transitive(self.verb, self.obj)
+            # its denotation x -> max_y min(v(x, y), obj(y)) is the image
+            # of the object under the converse pairs.
+            converse = {(y, x): g for (x, y), g in self.verb.pairs.items()}
+            u = self.obj.universe
+            self.vp = FuzzySet(u, image_grades(converse, u, self.obj.grades))
 
     def fuzzy_sets(self):
         return [fs for fs in (self.subj, self.vp, self.obj) if fs is not None]
 
 
-def _vp_from_transitive(verb: FuzzyRelation, obj: FuzzySet) -> FuzzySet:
-    out = {u: 0.0 for u in obj.universe.elements}
-    for (x, y), g in verb.pairs.items():
-        w = min(g, obj.grade(y))
-        if w > out[x]:
-            out[x] = w
-    return FuzzySet(obj.universe, (out[u] for u in obj.universe.elements))
-
-
 def verb_between(verb: FuzzyRelation, subj: FuzzySet, obj: FuzzySet) -> float:
-    """max over pairs (a, b) of min(subj(a), verb(a, b), obj(b))."""
-    best = 0.0
-    for (a, b), g in verb.pairs.items():
-        w = min(subj.grade(a), g, obj.grade(b))
-        if w > best:
-            best = w
-    return best
+    """max over pairs (a, b) of min(subj(a), verb(a, b), obj(b)): the
+    height of the image of subj intersected with obj."""
+    image = verb_image(verb, subj)
+    return max(map(min, image.grades, obj.grades), default=0.0)
 
 
 # -- crisp evaluation -------------------------------------------------------
@@ -223,26 +220,24 @@ def eval_crisp_truth(tree: ParseTree, model: Model) -> bool:
     if form == SentenceForm.BARE_INTRANSITIVE:
         return bool(den.vp.support() & subj)
     if form == SentenceForm.BARE_TRANSITIVE:
-        return bool(_crisp_image(den.verb, subj) & den.obj.support())
+        return bool(verb_image(den.verb, den.subj).support() & den.obj.support())
     if form == SentenceForm.QUANT_SUBJECT:
         d = _crisp_quantifier(den.subj_det, words.subj_det)
         return gq_holds(d, subj, den.vp.support() & subj)
     if form == SentenceForm.QUANT_OBJECT:
         d = _crisp_quantifier(den.obj_det, words.obj_det)
         obj = den.obj.support()
-        return gq_holds(d, obj, obj & _crisp_image(den.verb, subj))
+        return gq_holds(d, obj, obj & verb_image(den.verb, den.subj).support())
     # DOUBLE_QUANT: object condition nested inside the subject condition.
     d1 = _crisp_quantifier(den.subj_det, words.subj_det)
     d2 = _crisp_quantifier(den.obj_det, words.obj_det)
     obj = den.obj.support()
+    u = model.universe
     vp_set = frozenset(
-        x for x in model.universe.elements
-        if gq_holds(d2, obj, obj & _crisp_image(den.verb, frozenset((x,)))))
+        x for x in u.elements
+        if gq_holds(d2, obj, obj & verb_image(
+            den.verb, FuzzySet.from_support(u, (x,))).support()))
     return gq_holds(d1, subj, subj & vp_set)
-
-
-def _crisp_image(verb: FuzzyRelation, members: frozenset) -> frozenset:
-    return frozenset(y for (x, y), g in verb.pairs.items() if g > 0.0 and x in members)
 
 
 # -- direct fuzzy evaluation ------------------------------------------------
@@ -400,24 +395,18 @@ def compile_pipeline(form: SentenceForm, words: SentenceWords) -> MorphismPipeli
 # -- lexical state relations ------------------------------------------------
 
 
-def _prop_tuple(b: Tuple[float, ...], a: Tuple[float, ...], threshold: float) -> Optional[float]:
-    """proportion of b in a over raw grade tuples; None when undefined."""
-    denom = sum(g for g in a if g >= threshold)
-    if denom == 0.0:
-        return None
-    num = sum(m for m in map(min, a, b) if m >= threshold)
-    return num / denom
-
-
-def _image_tuple(verb: FuzzyRelation, a: Tuple[float, ...]) -> Tuple[float, ...]:
-    u = verb.universe
-    out = [0.0] * len(u)
-    for (x, y), g in verb.pairs.items():
-        w = min(a[u.position(x)], g)
-        j = u.position(y)
-        if w > out[j]:
-            out[j] = w
-    return tuple(out)
+def _state_row(fst: Tuple[float, ...], target: IndexSet, q: Quantale,
+               threshold: float) -> List[Tuple[int, float]]:
+    """The non-bottom (position, grade) entries of the state of grade
+    tuple fst over target, as `lexical_state` documents."""
+    if q.carrier == "boolean":
+        return [(target.position(fst), q.unit)] if fst in target else []
+    row = []
+    for j, b in enumerate(target.elements):
+        p = proportion_grades(b, fst, threshold)
+        if p is not None and p != 0.0:
+            row.append((j, p))
+    return row
 
 
 def lexical_state(fs: FuzzySet, target: IndexSet, q: Quantale,
@@ -430,18 +419,8 @@ def lexical_state(fs: FuzzySet, target: IndexSet, q: Quantale,
     exactly at the denotation itself, which is the image of the crisp
     state under inclusion.
     """
-    unit = IndexSet.unit()
-    entries = {}
-    fst = fs.as_tuple()
-    if q.carrier == "boolean":
-        if fst in target:
-            entries[(0, target.position(fst))] = q.unit
-    else:
-        for j, b in enumerate(target.elements):
-            p = _prop_tuple(b, fst, threshold)
-            if p is not None and p != 0.0:
-                entries[(0, j)] = p
-    return VRel(unit, target, q, entries=entries)
+    row = _state_row(fs.as_tuple(), target, q, threshold)
+    return VRel(IndexSet.unit(), target, q, entries={(0, j): g for j, g in row})
 
 
 def verb_state(verb: FuzzyRelation, source_set: IndexSet, target_set: IndexSet,
@@ -451,20 +430,13 @@ def verb_state(verb: FuzzyRelation, source_set: IndexSet, target_set: IndexSet,
     Entry at (A, B): proportion of B inside the image of A (real
     quantales) or the unit exactly when B is the image of A (Boolean).
     """
-    unit = IndexSet.unit()
     n2 = len(target_set)
     entries = {}
     for i, a in enumerate(source_set.elements):
-        image = _image_tuple(verb, a)
-        if q.carrier == "boolean":
-            if image in target_set:
-                entries[(0, i * n2 + target_set.position(image))] = q.unit
-            continue
-        for j, b in enumerate(target_set.elements):
-            p = _prop_tuple(b, image, threshold)
-            if p is not None and p != 0.0:
-                entries[(0, i * n2 + j)] = p
-    return VRel(unit, source_set.tensor(target_set), q, entries=entries)
+        image = image_grades(verb.pairs, verb.universe, a)
+        for j, g in _state_row(image, target_set, q, threshold):
+            entries[(0, i * n2 + j)] = g
+    return VRel(IndexSet.unit(), source_set.tensor(target_set), q, entries=entries)
 
 
 # -- categorical evaluation -------------------------------------------------
@@ -472,78 +444,37 @@ def verb_state(verb: FuzzyRelation, source_set: IndexSet, target_set: IndexSet,
 
 def _atom_vrel(atom: Atom, model: Model, wires: Dict[str, IndexSet],
                den: "_Denotations") -> VRel:
-    q = model.quantale
-    e = q.unit
+    """The relation an atom denotes over the index sets of its wires."""
+    q, t = model.quantale, model.threshold
+    ins = [wires[w] for w in atom.wires_in]
+    outs = [wires[w] for w in atom.wires_out]
     if atom.kind == "state":
         fs = {"np": den.subj, "vp": den.vp, "np'": den.obj}[atom.label]
-        return lexical_state(fs, wires[atom.wires_out[0]], q, model.threshold)
+        return lexical_state(fs, outs[0], q, t)
     if atom.kind == "verb_state":
-        return verb_state(den.verb, wires[atom.wires_out[0]], wires[atom.wires_out[1]],
-                          q, model.threshold)
+        return verb_state(den.verb, outs[0], outs[1], q, t)
     if atom.kind == "quant":
-        d = model.quantifiers[atom.word]
-        if isinstance(d, FuzzyQuantifier) and q.carrier == "boolean":
-            raise EvaluationError(
-                f"graded determiner {d.name!r} needs a real-valued quantale")
-        w_in, w_out = wires[atom.wires_in[0]], wires[atom.wires_out[0]]
-        return VRel.from_function(
-            w_in, w_out, q,
-            lambda a, b: graded_entry(d, a, b, model.threshold))
+        return quantifier_vrel(model.quantifiers[atom.word], ins[0], outs[0], q, t)
     if atom.kind == "delta":
-        w = wires[atom.wires_in[0]]
-        n = len(w)
-        return VRel(w, w.tensor(w), q, row_fn=lambda i: ((i * n + i, e),))
+        return delta(ins[0], q)
     if atom.kind == "mu":
-        w1, w2 = wires[atom.wires_in[0]], wires[atom.wires_in[1]]
-        w_out = wires[atom.wires_out[0]]
-        n2 = len(w2)
-
-        def mu_row(k: int):
-            i, j = divmod(k, n2)
-            meet = tuple(map(min, w1.elements[i], w2.elements[j]))
-            return ((w_out.position(meet), e),) if meet in w_out else ()
-
-        return VRel(w1.tensor(w2), w_out, q, row_fn=mu_row)
+        return mu(ins[0], ins[1], outs[0], q)
     if atom.kind == "eps":
-        w1, w2 = wires[atom.wires_in[0]], wires[atom.wires_in[1]]
-        n2 = len(w2)
-
-        def eps_row(k: int):
-            i, j = divmod(k, n2)
-            return ((0, e),) if w1.elements[i] == w2.elements[j] else ()
-
-        return VRel(w1.tensor(w2), IndexSet.unit(), q, row_fn=eps_row)
+        if ins[0] != ins[1]:
+            raise ShapeMismatchError(f"eps needs wires {atom.wires_in} over one index set")
+        return epsilon(ins[0], q)
     if atom.kind == "id":
-        w = wires[atom.wires_in[0]]
-        return VRel(w, w, q, row_fn=lambda i: ((i, e),))
+        return identity(ins[0], q)
     if atom.kind == "sigma":
-        w1, w2 = wires[atom.wires_in[0]], wires[atom.wires_in[1]]
-        n1, n2 = len(w1), len(w2)
-
-        def sigma_row(k: int):
-            i, j = divmod(k, n2)
-            return ((j * n1 + i, e),)
-
-        return VRel(w1.tensor(w2), w2.tensor(w1), q, row_fn=sigma_row)
+        return swap(ins[0], ins[1], q)
     raise ShapeMismatchError(f"unknown pipeline atom {atom.kind!r}")
 
 
 def _pipeline_value(pipeline: MorphismPipeline, model: Model,
                     wires: Dict[str, IndexSet], den: "_Denotations") -> float:
-    current: Optional[VRel] = None
-    for layer in pipeline.layers:
-        rel = reduce(tensor_rel,
-                     (_atom_vrel(atom, model, wires, den) for atom in layer))
-        current = rel if current is None else compose(current, rel)
-    return float(current.scalar())
-
-
-def _unique_sets(candidates: List[Tuple[float, ...]]) -> IndexSet:
-    seen = []
-    for c in candidates:
-        if c not in seen:
-            seen.append(c)
-    return IndexSet(seen)
+    layers = [reduce(tensor_rel, (_atom_vrel(atom, model, wires, den) for atom in layer))
+              for layer in pipeline.layers]
+    return float(reduce(compose, layers).scalar())
 
 
 def _restricted_wires(form: SentenceForm, den: _Denotations) -> Dict[str, IndexSet]:
@@ -552,44 +483,35 @@ def _restricted_wires(form: SentenceForm, den: _Denotations) -> Dict[str, IndexS
     if form == SentenceForm.QUANT_SUBJECT:
         n_t, vp_t = den.subj.as_tuple(), den.vp.as_tuple()
         meet = tuple(map(min, n_t, vp_t))
-        w_a = _unique_sets([n_t])
-        w_b = _unique_sets([vp_t])
-        w_fg = _unique_sets([meet])
+        w_a = IndexSet([n_t])
+        w_b = IndexSet([vp_t])
+        w_fg = IndexSet([meet])
         return {"A": w_a, "A1": w_a, "A2": w_a, "B": w_b, "F": w_fg, "G": w_fg}
     if form == SentenceForm.QUANT_OBJECT:
         np_t = den.subj.as_tuple()
-        image = _image_tuple(den.verb, np_t)
+        image = verb_image(den.verb, den.subj).as_tuple()
         n_t = den.obj.as_tuple()
         meet = tuple(map(min, image, n_t))
-        w_a = _unique_sets([np_t])
-        w_b = _unique_sets([image])
-        w_c = _unique_sets([n_t])
-        w_fg = _unique_sets([meet])
+        w_a = IndexSet([np_t])
+        w_b = IndexSet([image])
+        w_c = IndexSet([n_t])
+        w_fg = IndexSet([meet])
         return {"A": w_a, "A2": w_a, "B": w_b, "C": w_c, "C1": w_c, "C2": w_c,
                 "F": w_fg, "G": w_fg}
     if form == SentenceForm.BARE_INTRANSITIVE:
         np_t, vp_t = den.subj.as_tuple(), den.vp.as_tuple()
-        shared = _unique_sets([np_t, vp_t, tuple(map(min, np_t, vp_t))])
+        shared = IndexSet(dict.fromkeys([np_t, vp_t, tuple(map(min, np_t, vp_t))]))
         return {"A": shared, "B": shared}
     if form == SentenceForm.BARE_TRANSITIVE:
         np_t = den.subj.as_tuple()
-        image = _image_tuple(den.verb, np_t)
+        image = verb_image(den.verb, den.subj).as_tuple()
         obj_t = den.obj.as_tuple()
-        w_a = _unique_sets([np_t])
-        shared = _unique_sets([image, obj_t, tuple(map(min, image, obj_t))])
+        w_a = IndexSet([np_t])
+        shared = IndexSet(dict.fromkeys([image, obj_t, tuple(map(min, image, obj_t))]))
         return {"A": w_a, "A2": w_a, "B": shared, "C": shared}
     raise EvaluationError(f"no restricted wiring for {form}")
 
 
-# Exhaustive evaluation joins over tuples of enumerated subsets; the
-# tuple count grows with this exponent of the enumeration size.
-_JOIN_EXPONENT = {
-    SentenceForm.BARE_INTRANSITIVE: 2,
-    SentenceForm.QUANT_SUBJECT: 3,
-    SentenceForm.BARE_TRANSITIVE: 4,
-    SentenceForm.QUANT_OBJECT: 4,
-    SentenceForm.DOUBLE_QUANT: 6,
-}
 EXHAUSTIVE_WORK_GUARD = 20_000_000
 
 
@@ -610,7 +532,11 @@ def eval_categorical(tree: ParseTree, model: Model, mode: str = "restricted",
 
     if mode == "exhaustive":
         p = model.powerset()
-        work = len(p) ** _JOIN_EXPONENT[form]
+        # The layered join enumerates one subset per wire crossing a
+        # layer boundary, so the widest boundary sets its cost.
+        width = max(sum(len(atom.wires_out) for atom in layer)
+                    for layer in pipeline.layers)
+        work = len(p) ** width
         if work > EXHAUSTIVE_WORK_GUARD:
             raise EnumerationLimitError(
                 f"exhaustive join over {len(p)} subsets needs ~{work:.1e} steps "

@@ -16,6 +16,10 @@ stored entry dict.  Rows are generated on demand, which keeps composites
 like (mu x mu) o (id x swap x id) o (delta x delta) linear in the size
 of their small end rather than in the size of the huge middle object.
 
+identity, swap and epsilon are both what the snake and bialgebra law
+checkers certify and what the categorical evaluator wires its sentence
+pipelines from.
+
 Values are immutable after construction and safe to share across
 threads.
 """
@@ -143,14 +147,6 @@ class IndexSet:
         if self.size > 4:
             shown += ", ..."
         return f"IndexSet([{shown}], size={self.size})"
-
-
-def product_set(*sets: IndexSet) -> IndexSet:
-    """Left-nested tensor product of several index sets."""
-    out = IndexSet.unit()
-    for s in sets:
-        out = out.tensor(s)
-    return out
 
 
 class CrispRel:
@@ -307,7 +303,11 @@ class VRel:
 
 
 def compose(r: VRel, s: VRel) -> VRel:
-    """Diagrammatic composition: r from A to B first, then s from B to C."""
+    """Diagrammatic composition: r from A to B first, then s from B to C.
+
+    Grades form a chain, so the join over the middle index is a running
+    maximum and `>` below is `Quantale.join` of two grades.
+    """
     if r.quantale is not s.quantale:
         raise ShapeMismatchError(
             f"cannot compose over {r.quantale.name} and {s.quantale.name}")

@@ -302,7 +302,7 @@ def test_criterion_5_conservativity():
                    qr.CrispQuantifier("every"), qr.CrispQuantifier("some")]
     pairs = 0
     for d in determiners:
-        rel = qr.quantifier_vrel(d, p, qr.GODEL)
+        rel = qr.quantifier_vrel(d, p.index, p.index, qr.GODEL)
         for a in p.enumeration:
             for b in p.enumeration:
                 pairs += 1

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 import quantrel as qr
+from quantrel.semantics import Model, _atom_vrel, _eps
 
 ALL = (qr.GODEL, qr.LUKASIEWICZ, qr.PRODUCT, qr.BOOLEAN)
 BOOL_G = qr.GradeLattice([0, 1])
@@ -49,7 +50,7 @@ def test_enumeration_guard():
 
 def test_delta_entries():
     p = qr.PowersetObject(_universe(1), BOOL_G)
-    d = qr.delta(p, qr.GODEL)
+    d = qr.delta(p.index, qr.GODEL)
     full, empty = (1.0,), (0.0,)
     assert d.entry(full, (full, full)) == 1.0
     assert d.entry(full, (full, empty)) == 0.0
@@ -58,14 +59,14 @@ def test_delta_entries():
 
 def test_mu_entries():
     p = qr.PowersetObject(_universe(2), BOOL_G)
-    m = qr.mu(p, qr.GODEL)
+    m = qr.mu(p.index, p.index, p.index, qr.GODEL)
     a, b = (1.0, 0.0), (0.0, 1.0)
     assert m.entry((a, a), a) == 1.0
     assert m.entry((a, b), (0.0, 0.0)) == 1.0
     assert m.entry((a, b), a) == 0.0
 
     fuzzy = qr.PowersetObject(_universe(1), THREE_G)
-    mf = qr.mu(fuzzy, qr.GODEL)
+    mf = qr.mu(fuzzy.index, fuzzy.index, fuzzy.index, qr.GODEL)
     assert mf.entry(((0.5,), (1.0,)), (0.5,)) == 1.0
 
 
@@ -100,13 +101,13 @@ def test_generators_are_inclusion_images_for_boolean_lattice():
     q = qr.GODEL
 
     crisp_delta = qr.CrispRel(s, s.tensor(s), ((a, (a, a)) for a in s.elements))
-    assert qr.include(crisp_delta, q).equal(qr.delta(p, q))
+    assert qr.include(crisp_delta, q).equal(qr.delta(p.index, q))
 
     meet = qr.PowersetObject.meet
     crisp_mu = qr.CrispRel(s.tensor(s), s,
                            (((a, b), meet(a, b))
                             for a in s.elements for b in s.elements))
-    assert qr.include(crisp_mu, q).equal(qr.mu(p, q))
+    assert qr.include(crisp_mu, q).equal(qr.mu(s, s, s, q))
 
     unit = qr.IndexSet.unit()
     crisp_iota = qr.CrispRel(s, unit, ((a, "*") for a in s.elements))
@@ -114,6 +115,29 @@ def test_generators_are_inclusion_images_for_boolean_lattice():
 
     crisp_zeta = qr.CrispRel(unit, s, (("*", p.full()),))
     assert qr.include(crisp_zeta, q).equal(qr.zeta(p, q))
+
+
+@pytest.mark.parametrize("q", ALL, ids=lambda q: q.name)
+def test_generalized_generators(q):
+    """mu drops meets its target lacks, equals the lifted crisp meet on
+    a whole powerset, and the evaluator's eps needs one index set."""
+    a = qr.IndexSet([(1.0, 0.0)])
+    b = qr.IndexSet([(0.0, 1.0), (1.0, 1.0)])
+    restricted = qr.mu(a, b, a, q)
+    assert restricted.entries() == {(1, 0): q.unit}
+    assert restricted.entry(((1.0, 0.0), (0.0, 1.0)), (1.0, 0.0)) == q.bottom
+
+    s = qr.PowersetObject(_universe(2), THREE_G).index
+    crisp_mu = qr.CrispRel(s.tensor(s), s,
+                           (((x, y), qr.PowersetObject.meet(x, y))
+                            for x in s.elements for y in s.elements))
+    assert qr.include(crisp_mu, q).equal(qr.mu(s, s, s, q))
+
+    model = Model(_universe(2), quantale=q)
+    with pytest.raises(qr.ShapeMismatchError):
+        _atom_vrel(_eps("F", "G"), model, {"F": a, "G": b}, None)
+    assert _atom_vrel(_eps("F", "G"), model, {"F": b, "G": b}, None).equal(
+        qr.epsilon(b, q))
 
 
 def test_report_lookup():

@@ -232,3 +232,10 @@ def test_cli_laws_reports_both_snake_sides():
     assert proc.returncode == 0
     assert "snake.left: pass" in proc.stdout
     assert "snake.right: pass" in proc.stdout
+
+
+def test_cli_laws_guard_fires_before_any_output():
+    proc = run_cli("laws", "--universe-size", "4", "--grades", "0,0.5,1")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "error:" in proc.stderr

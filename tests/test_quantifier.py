@@ -91,14 +91,14 @@ def test_distribution_continuous_and_bounded(p):
 
 def test_quantifier_vrel_entries():
     p = qr.PowersetObject(U2, qr.GradeLattice([0, 1]))
-    every = qr.quantifier_vrel(qr.CrispQuantifier("every"), p, qr.BOOLEAN)
+    every = qr.quantifier_vrel(qr.CrispQuantifier("every"), p.index, p.index, qr.BOOLEAN)
     for member in p.enumeration:
         assert every.entry(member, member) == 1.0
-    some = qr.quantifier_vrel(qr.CrispQuantifier("some"), p, qr.BOOLEAN)
+    some = qr.quantifier_vrel(qr.CrispQuantifier("some"), p.index, p.index, qr.BOOLEAN)
     empty = (0.0, 0.0)
     assert all(some.entry(empty, b) == 0.0 for b in p.enumeration)
 
-    several = qr.quantifier_vrel(SEVERAL, p, qr.GODEL)
+    several = qr.quantifier_vrel(SEVERAL, p.index, p.index, qr.GODEL)
     a, b = (1.0, 1.0), (1.0, 0.0)
     assert several.entry(a, b) == pytest.approx(
         qr.apply_distribution(SEVERAL, 0.5), abs=1e-12)
@@ -109,14 +109,14 @@ def test_quantifier_vrel_entries():
 def test_quantifier_vrel_rejects_fuzzy_over_boolean():
     p = qr.PowersetObject(U2, qr.GradeLattice([0, 1]))
     with pytest.raises(qr.EvaluationError):
-        qr.quantifier_vrel(SEVERAL, p, qr.BOOLEAN)
+        qr.quantifier_vrel(SEVERAL, p.index, p.index, qr.BOOLEAN)
 
 
 def test_quantifier_vrel_conservativity_identity():
     lattice = qr.GradeLattice([0, 0.5, 1])
     p = qr.PowersetObject(U2, lattice)
     for d in (SEVERAL, MOST, qr.CrispQuantifier("every"), qr.CrispQuantifier("some")):
-        rel = qr.quantifier_vrel(d, p, qr.GODEL)
+        rel = qr.quantifier_vrel(d, p.index, p.index, qr.GODEL)
         for a in p.enumeration:
             for b in p.enumeration:
                 meet = qr.PowersetObject.meet(a, b)
@@ -137,7 +137,7 @@ def test_boolean_specialization_matches_inclusion():
         crisp_pairs = [(a, b) for a in s.elements for b in s.elements
                        if qr.gq_holds(d, support(a), support(b))]
         lifted = qr.include(qr.CrispRel(s, s, crisp_pairs), qr.BOOLEAN)
-        assert qr.quantifier_vrel(d, p, qr.BOOLEAN).equal(lifted)
+        assert qr.quantifier_vrel(d, p.index, p.index, qr.BOOLEAN).equal(lifted)
 
 
 def test_argmax_fixtures():
@@ -159,7 +159,7 @@ def test_quantifier_vrel_entry_guard():
     p = qr.PowersetObject(qr.IndexSet(["a", "b", "c"]), lattice)
     assert len(p) == 1728  # within the enumeration guard, 1728^2 entries over it
     with pytest.raises(qr.EnumerationLimitError):
-        qr.quantifier_vrel(SEVERAL, p, qr.GODEL)
+        qr.quantifier_vrel(SEVERAL, p.index, p.index, qr.GODEL)
 
 
 def test_graded_entry_exactly_requires_crisp():
