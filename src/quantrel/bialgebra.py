@@ -24,7 +24,8 @@ from typing import Sequence, Tuple
 
 from .errors import EnumerationLimitError, QuantrelError
 from .quantale import Quantale
-from .vrel import IndexSet, VRel, compose, identity, swap, tensor_rel
+from .vrel import (MAX_ENTRIES, IndexSet, VRel, compose, identity, swap,
+                   tensor_rel)
 
 ENUMERATION_GUARD = 20_000
 
@@ -105,38 +106,36 @@ class PowersetObject:
 def delta(s: IndexSet, q: Quantale) -> VRel:
     """Copy map S -> S x S: unit at (A, (A, A)), bottom elsewhere."""
     n, e = len(s), q.unit
-    return VRel(s, s.tensor(s), q, row_fn=lambda i: ((i * n + i, e),))
+    return VRel(s, s.tensor(s), q, entries={(i, i * n + i): e for i in range(n)})
 
 
 def mu(a: IndexSet, b: IndexSet, out: IndexSet, q: Quantale) -> VRel:
     """Merge map A x B -> OUT: unit at ((A, B), pointwise min of A and B).
 
-    A meet missing from out has no entry, which is how a restricted wire
-    drops it; on a whole powerset every meet is present."""
+    The entries are stored, one per pair whose meet is in out.  A meet
+    missing from out has no entry, which is how a restricted wire drops
+    it; on a whole powerset every meet is present."""
     nb, e = len(b), q.unit
-    ea, eb, pos = a.elements, b.elements, out.position
-
-    def row(k: int):
-        i, j = divmod(k, nb)
-        try:
-            return ((pos(PowersetObject.meet(ea[i], eb[j])), e),)
-        except KeyError:        # the meet is not in out
-            return ()
-
-    return VRel(a.tensor(b), out, q, row_fn=row)
+    if len(a) * nb > MAX_ENTRIES:
+        raise EnumerationLimitError(
+            f"merge of {len(a)}x{nb} pairs exceeds the entry guard")
+    meets = ((i * nb + j, PowersetObject.meet(x, y))
+             for i, x in enumerate(a.elements) for j, y in enumerate(b.elements))
+    return VRel(a.tensor(b), out, q,
+                entries={(k, out.position(m)): e for k, m in meets if m in out})
 
 
 def iota(p: PowersetObject, q: Quantale) -> VRel:
     """Discard map S -> I: unit everywhere."""
     e = q.unit
-    return VRel(p.index, IndexSet.unit(), q, row_fn=lambda i: ((0, e),))
+    return VRel(p.index, IndexSet.unit(), q,
+                entries={(i, 0): e for i in range(len(p))})
 
 
 def zeta(p: PowersetObject, q: Quantale) -> VRel:
     """Unit map I -> S: unit exactly at the full subset."""
-    full_pos = p.index.position(p.full())
-    e = q.unit
-    return VRel(IndexSet.unit(), p.index, q, row_fn=lambda i: ((full_pos, e),))
+    return VRel(IndexSet.unit(), p.index, q,
+                entries={(0, p.index.position(p.full())): q.unit})
 
 
 @dataclass(frozen=True)

@@ -62,7 +62,7 @@ def cmd_eval(args) -> int:
         return 2
     if args.sentence is not None:
         _print_report(degree_of_truth(args.sentence, model, method=args.method,
-                                      mode=args.mode, grid_step=args.grid_step))
+                                      mode=args.mode))
         return 0
     with open(args.sentences_file, "r", encoding="utf-8") as handle:
         sentences = [line.strip() for line in handle if line.strip()]
@@ -72,7 +72,7 @@ def cmd_eval(args) -> int:
             print()
         try:
             report = degree_of_truth(sentence, model, method=args.method,
-                                     mode=args.mode, grid_step=args.grid_step)
+                                     mode=args.mode)
         except QuantrelError as exc:
             print(f"sentence: {sentence}")
             print(f"error: {exc}")
@@ -207,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=("crisp", "direct", "categorical", "both"))
     p_eval.add_argument("--mode", default="restricted",
                         choices=("restricted", "exhaustive"))
-    p_eval.add_argument("--grid-step", type=float, default=0.01)
     p_eval.set_defaults(func=cmd_eval)
 
     p_laws = sub.add_parser("laws", help="check snake, bialgebra and (co)monoid laws")

@@ -27,24 +27,22 @@ Grade = float
 class Quantale:
     """One fixed commutative quantale instance.
 
-    `tensor` is total on [0,1] x [0,1] even for the Boolean instance;
-    `validate` is what enforces the carrier restriction.
+    `tensor` is the binary tensor function itself, called as
+    `q.tensor(a, b)`.  It is total on [0,1] x [0,1] even for the Boolean
+    instance; `validate` is what enforces the carrier restriction.
     """
 
-    __slots__ = ("name", "_tensor", "carrier")
+    __slots__ = ("name", "tensor", "carrier")
 
     def __init__(self, name: str, tensor: Callable[[Grade, Grade], Grade],
                  carrier: str = "unit-interval"):
         self.name = name
-        self._tensor = tensor
+        self.tensor = tensor
         self.carrier = carrier
 
     unit: Grade = 1.0
     bottom: Grade = 0.0
     top: Grade = 1.0
-
-    def tensor(self, a: Grade, b: Grade) -> Grade:
-        return self._tensor(a, b)
 
     def join(self, grades: Iterable[Grade]) -> Grade:
         """Least upper bound of a finite family; empty family gives bottom."""

@@ -176,34 +176,33 @@ def graded_entry(d: Determiner, a: Sequence[float], b: Sequence[float],
     return 1.0 if sum(1 for x, y in zip(a, b) if x == y == 1.0) == d.n else 0.0
 
 
+def require_quantale(d: Determiner, q: Quantale) -> None:
+    """Refuse a graded determiner over the Boolean quantale, whose
+    carrier has no room for its possibility grades."""
+    if isinstance(d, FuzzyQuantifier) and q.carrier == "boolean":
+        raise EvaluationError(
+            f"graded determiner {d.name!r} needs a real-valued quantale")
+
+
 def quantifier_vrel(d: Determiner, source: IndexSet, target: IndexSet,
                     q: Quantale, threshold: float = 0.0) -> VRel:
     """Encode the determiner as a relation between index sets of grade
     tuples: restrictor subsets in source, scope subsets in target."""
-    if isinstance(d, FuzzyQuantifier) and q.carrier == "boolean":
-        raise EvaluationError(
-            f"graded determiner {d.name!r} needs a real-valued quantale")
+    require_quantale(d, q)
     return VRel.from_function(
         source, target, q,
         lambda a, b: graded_entry(d, a, b, threshold))
 
 
-def apply_quantifier_argmax(d: Determiner, np_set: FuzzySet,
-                            grid_step: float = 0.01) -> FuzzySet:
+def apply_quantifier_argmax(d: Determiner, np_set: FuzzySet) -> FuzzySet:
     """The scaled copy of np_set whose proportion the determiner likes best.
 
-    Scans k over a grid of [0, 1]; proportion(scale(np, k), np) equals k
-    up to rounding, so this maximizes the distribution itself.  Ties go
-    to the largest k.
+    Scans k = i * 0.01 for i = 0..100; proportion(scale(np, k), np)
+    equals k up to rounding, so this maximizes the distribution itself.
+    Ties go to the largest k.
     """
-    if not 0.0 < grid_step <= 1.0:
-        raise QuantrelError("grid step must lie in (0, 1]")
-    ks = [i * grid_step for i in range(int(1.0 / grid_step) + 1)]
-    ks = [min(k, 1.0) for k in ks]
-    if ks[-1] != 1.0:
-        ks.append(1.0)
     best_k, best_v = 0.0, -1.0
-    for k in ks:
+    for k in (i * 0.01 for i in range(101)):
         v = apply_distribution(d, proportion(scale(np_set, k), np_set))
         if v >= best_v:
             best_k, best_v = k, v

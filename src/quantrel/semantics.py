@@ -40,7 +40,8 @@ from .fuzzyset import (FuzzyRelation, FuzzySet, image_grades, proportion,
 from .grammar import ParseTree, SentenceForm, classify, parse, tokenize
 from .quantale import Quantale
 from .quantifier import (CrispQuantifier, Determiner, apply_distribution,
-                         apply_quantifier_argmax, gq_holds, quantifier_vrel)
+                         apply_quantifier_argmax, gq_holds, quantifier_vrel,
+                         require_quantale)
 from .vrel import (IndexSet, VRel, compose, epsilon, identity, swap,
                    tensor_rel)
 
@@ -193,6 +194,14 @@ def verb_between(verb: FuzzyRelation, subj: FuzzySet, obj: FuzzySet) -> float:
     return max(map(min, image.grades, obj.grades), default=0.0)
 
 
+def _operational_double_quant(den: _Denotations) -> float:
+    """Apply each determiner to its noun by argmax scaling, then score
+    the verb between the two resulting sets at membership level."""
+    subj_q = apply_quantifier_argmax(den.subj_det, den.subj)
+    obj_q = apply_quantifier_argmax(den.obj_det, den.obj)
+    return verb_between(den.verb, subj_q, obj_q)
+
+
 # -- crisp evaluation -------------------------------------------------------
 
 
@@ -243,7 +252,7 @@ def eval_crisp_truth(tree: ParseTree, model: Model) -> bool:
 # -- direct fuzzy evaluation ------------------------------------------------
 
 
-def eval_zadeh_direct(tree: ParseTree, model: Model, grid_step: float = 0.01) -> float:
+def eval_zadeh_direct(tree: ParseTree, model: Model) -> float:
     """Score the sentence with the fuzzy-quantifier formulas."""
     form = classify(tree)
     words = extract_words(tree, form)
@@ -259,11 +268,8 @@ def eval_zadeh_direct(tree: ParseTree, model: Model, grid_step: float = 0.01) ->
         return apply_distribution(den.obj_det, proportion(image, den.obj, t))
     if form == SentenceForm.BARE_TRANSITIVE:
         return proportion(verb_image(den.verb, den.subj), den.obj, t)
-    # DOUBLE_QUANT: apply each determiner to its noun, then score the verb
-    # between the two resulting sets at membership level.
-    subj_q = apply_quantifier_argmax(den.subj_det, den.subj, grid_step)
-    obj_q = apply_quantifier_argmax(den.obj_det, den.obj, grid_step)
-    return verb_between(den.verb, subj_q, obj_q)
+    # DOUBLE_QUANT
+    return _operational_double_quant(den)
 
 
 # -- pipeline compilation ---------------------------------------------------
@@ -515,8 +521,7 @@ def _restricted_wires(form: SentenceForm, den: _Denotations) -> Dict[str, IndexS
 EXHAUSTIVE_WORK_GUARD = 20_000_000
 
 
-def eval_categorical(tree: ParseTree, model: Model, mode: str = "restricted",
-                     grid_step: float = 0.01) -> float:
+def eval_categorical(tree: ParseTree, model: Model, mode: str = "restricted") -> float:
     """Evaluate the compiled relation pipeline of the sentence.
 
     mode "restricted" joins over the proof-relevant candidate subsets
@@ -554,10 +559,11 @@ def eval_categorical(tree: ParseTree, model: Model, mode: str = "restricted",
         return _pipeline_value(pipeline, model, wires, den)
 
     if form == SentenceForm.DOUBLE_QUANT:
-        # Operational reading; see the module docstring.
-        subj_q = apply_quantifier_argmax(den.subj_det, den.subj, grid_step)
-        obj_q = apply_quantifier_argmax(den.obj_det, den.obj, grid_step)
-        return verb_between(den.verb, subj_q, obj_q)
+        # Operational reading; see the module docstring.  Its determiners
+        # face the same quantale check as the pipeline's.
+        require_quantale(den.subj_det, model.quantale)
+        require_quantale(den.obj_det, model.quantale)
+        return _operational_double_quant(den)
 
     return _pipeline_value(pipeline, model, _restricted_wires(form, den), den)
 
@@ -580,7 +586,7 @@ METHODS = ("crisp", "direct", "categorical", "both")
 
 
 def degree_of_truth(sentence: str, model: Model, method: str = "both",
-                    mode: str = "restricted", grid_step: float = 0.01) -> TruthReport:
+                    mode: str = "restricted") -> TruthReport:
     """Parse, classify and evaluate a sentence by the requested method(s)."""
     if method not in METHODS:
         raise QuantrelError(f"unknown method {method!r}; choose from {METHODS}")
@@ -591,9 +597,9 @@ def degree_of_truth(sentence: str, model: Model, method: str = "both",
     if method == "crisp":
         values["crisp"] = eval_crisp_truth(tree, model)
     if method in ("direct", "both"):
-        values["direct"] = eval_zadeh_direct(tree, model, grid_step)
+        values["direct"] = eval_zadeh_direct(tree, model)
     if method in ("categorical", "both"):
-        values["categorical"] = eval_categorical(tree, model, mode, grid_step)
+        values["categorical"] = eval_categorical(tree, model, mode)
     diff = None
     if method == "both":
         diff = abs(values["direct"] - values["categorical"])

@@ -10,11 +10,10 @@ The monoidal structure is strict: the unit index set is absorbed by
 products, and nested products are flattened, so no unitor or associator
 bookkeeping is ever needed.
 
-Structural relations (identity, swap, epsilon, eta and the powerset
-maps built elsewhere) can be represented by a row function instead of a
-stored entry dict.  Rows are generated on demand, which keeps composites
-like (mu x mu) o (id x swap x id) o (delta x delta) linear in the size
-of their small end rather than in the size of the huge middle object.
+Every relation stores its entries except a tensor product, whose rows
+are built from its factors' rows on demand.  That keeps composites like
+(mu x mu) o (id x swap x id) o (delta x delta) linear in the size of
+their small end rather than in the size of the huge middle object.
 
 identity, swap and epsilon are both what the snake and bialgebra law
 checkers certify and what the categorical evaluator wires its sentence
@@ -333,14 +332,14 @@ def compose(r: VRel, s: VRel) -> VRel:
 def identity(a: IndexSet, q: Quantale) -> VRel:
     """Diagonal relation: unit on the diagonal, bottom elsewhere."""
     e = q.unit
-    return VRel(a, a, q, row_fn=lambda i: ((i, e),))
+    return VRel(a, a, q, entries={(i, i): e for i in range(len(a))})
 
 
 def tensor_rel(r: VRel, s: VRel) -> VRel:
     """Parallel composition over product index sets.
 
-    The result is functional: entries of the big product matrix are
-    generated row by row only when composition asks for them.
+    The only relation kept as a row function: entries of the big product
+    matrix are generated row by row only when composition asks for them.
     """
     if r.quantale is not s.quantale:
         raise ShapeMismatchError(
@@ -367,33 +366,26 @@ def tensor_rel(r: VRel, s: VRel) -> VRel:
 def epsilon(s: IndexSet, q: Quantale) -> VRel:
     """Cup: relates a pair (a, b) to the unit point exactly when a = b."""
     n, e = len(s), q.unit
-
-    def row(k: int):
-        i, j = divmod(k, n)
-        return ((0, e),) if i == j else ()
-
-    return VRel(s.tensor(s), IndexSet.unit(), q, row_fn=row)
+    return VRel(s.tensor(s), IndexSet.unit(), q,
+                entries={(i * n + i, 0): e for i in range(n)})
 
 
 def eta(s: IndexSet, q: Quantale) -> VRel:
     """Cap: relates the unit point to every diagonal pair (a, a)."""
     n, e = len(s), q.unit
-
-    def row(_k: int):
-        return tuple((i * n + i, e) for i in range(n))
-
-    return VRel(IndexSet.unit(), s.tensor(s), q, row_fn=row)
+    return VRel(IndexSet.unit(), s.tensor(s), q,
+                entries={(0, i * n + i): e for i in range(n)})
 
 
 def swap(a: IndexSet, b: IndexSet, q: Quantale) -> VRel:
     """Symmetry: (x, y) goes to (y, x) with grade unit."""
-    nb, na, e = len(b), len(a), q.unit
-
-    def row(k: int):
-        i, j = divmod(k, nb)
-        return ((j * na + i, e),)
-
-    return VRel(a.tensor(b), b.tensor(a), q, row_fn=row)
+    na, nb, e = len(a), len(b), q.unit
+    if na * nb > MAX_ENTRIES:
+        raise EnumerationLimitError(
+            f"swap of {na}x{nb} entries exceeds the entry guard")
+    return VRel(a.tensor(b), b.tensor(a), q,
+                entries={(i * nb + j, j * na + i): e
+                         for i in range(na) for j in range(nb)})
 
 
 def include(r: CrispRel, q: Quantale) -> VRel:

@@ -116,6 +116,19 @@ def test_generators_are_inclusion_images_for_boolean_lattice():
     crisp_zeta = qr.CrispRel(unit, s, (("*", p.full()),))
     assert qr.include(crisp_zeta, q).equal(qr.zeta(p, q))
 
+    assert qr.include(qr.CrispRel.identity(s), q).equal(qr.identity(s, q))
+
+    t = qr.IndexSet(["x", "y", "z"])
+    crisp_swap = qr.CrispRel(s.tensor(t), t.tensor(s),
+                             (((a, b), (b, a)) for a in s.elements for b in t.elements))
+    assert qr.include(crisp_swap, q).equal(qr.swap(s, t, q))
+
+    crisp_eps = qr.CrispRel(s.tensor(s), unit, (((a, a), "*") for a in s.elements))
+    assert qr.include(crisp_eps, q).equal(qr.epsilon(s, q))
+
+    crisp_eta = qr.CrispRel(unit, s.tensor(s), (("*", (a, a)) for a in s.elements))
+    assert qr.include(crisp_eta, q).equal(qr.eta(s, q))
+
 
 @pytest.mark.parametrize("q", ALL, ids=lambda q: q.name)
 def test_generalized_generators(q):

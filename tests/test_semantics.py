@@ -440,6 +440,19 @@ def test_double_quant_boolean_pipeline_diverges_from_nested_truth():
     assert qr.eval_categorical(tree, model, "exhaustive") == 1.0
 
 
+def test_restricted_double_quant_rejects_graded_determiner_over_boolean():
+    """Restricted DoubleQuant faces the same quantale check as exhaustive
+    mode: a graded determiner has no Boolean reading."""
+    from pathlib import Path
+    from quantrel.sampling import randomize_model
+    small = Path(__file__).resolve().parent.parent / "lexicons" / "small.json"
+    model = randomize_model(qr.load_lexicon(small), random.Random(0), crisp=True)
+    tree = _tree("several men see every men", model)
+    for mode in ("restricted", "exhaustive"):
+        with pytest.raises(qr.EvaluationError, match="needs a real-valued"):
+            qr.eval_categorical(tree, model, mode)
+
+
 # -- state relations -----------------------------------------------------------
 
 

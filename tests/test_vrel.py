@@ -207,6 +207,13 @@ def test_swap_involution():
     assert qr.compose(sw, back).equal(qr.identity(a.tensor(b), qr.GODEL))
 
 
+def test_swap_entry_guard():
+    a = qr.IndexSet(range(2_000))
+    b = qr.IndexSet(range(qr.vrel.MAX_ENTRIES // 2_000 + 1))
+    with pytest.raises(qr.EnumerationLimitError):
+        qr.swap(a, b, qr.GODEL)
+
+
 def test_crisp_rel_validates_pairs():
     a, b = _sets(2, 2)
     with pytest.raises(qr.ShapeMismatchError):
