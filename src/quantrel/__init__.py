@@ -22,10 +22,10 @@ from .grammar import (ParseTree, SentenceForm, Token, classify, derivations,
                       parse, tokenize)
 from .lexicon import dump_lexicon, load_lexicon
 from .quantale import (BOOLEAN, GODEL, LUKASIEWICZ, PRODUCT, Quantale,
-                       by_name, is_godel_chain)
+                       by_name)
 from .quantifier import (CrispQuantifier, FuzzyQuantifier, apply_distribution,
-                         apply_quantifier_argmax, gq_holds, gq_interpret,
-                         graded_entry, is_conservative, quantifier_vrel)
+                         apply_quantifier_argmax, gq_holds, graded_entry,
+                         is_conservative, quantifier_vrel)
 from .semantics import (Model, MorphismPipeline, SentenceWords, TruthReport,
                         compile_pipeline, degree_of_truth, eval_categorical,
                         eval_crisp_truth, eval_zadeh_direct, extract_words,

@@ -108,14 +108,9 @@ class FuzzyRelation:
         return f"FuzzyRelation({len(self.pairs)} graded pairs)"
 
 
-def sigma_count(a: FuzzySet, threshold: float = 0.0, rounded: bool = False) -> float:
-    """Arithmetic sum of memberships at or above the threshold.
-
-    Rounding to the nearest integer is off by default: every downstream
-    ratio in this package uses the raw sum.
-    """
-    total = sum(g for g in a.grades if g >= threshold)
-    return float(round(total)) if rounded else total
+def sigma_count(a: FuzzySet, threshold: float = 0.0) -> float:
+    """Arithmetic sum of memberships at or above the threshold."""
+    return sum(g for g in a.grades if g >= threshold)
 
 
 def intersect(a: FuzzySet, b: FuzzySet) -> FuzzySet:

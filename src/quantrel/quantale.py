@@ -42,14 +42,10 @@ class Quantale:
 
     unit: Grade = 1.0
     bottom: Grade = 0.0
-    top: Grade = 1.0
 
     def join(self, grades: Iterable[Grade]) -> Grade:
         """Least upper bound of a finite family; empty family gives bottom."""
         return max(grades, default=self.bottom)
-
-    def leq(self, a: Grade, b: Grade) -> bool:
-        return a <= b
 
     def is_grade(self, g) -> bool:
         if isinstance(g, bool):
@@ -96,18 +92,3 @@ def by_name(name: str) -> Quantale:
             f"unknown quantale {name!r}; choose from {sorted(INSTANCES)}"
         ) from None
 
-
-def is_godel_chain(q: Quantale, samples: Iterable[Grade]) -> bool:
-    """True iff on the given samples the instance looks like a Godel chain:
-    tensor coincides with binary meet, the unit is the top element, and
-    every pair of samples is comparable."""
-    xs = [float(g) for g in samples]
-    if q.unit != q.top:
-        return False
-    for a in xs:
-        for b in xs:
-            if q.tensor(a, b) != min(a, b):
-                return False
-            if not (q.leq(a, b) or q.leq(b, a)):
-                return False
-    return True

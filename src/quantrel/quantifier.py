@@ -13,10 +13,11 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
-from .errors import EnumerationLimitError, EvaluationError, QuantrelError
-from .fuzzyset import FuzzySet, proportion, proportion_grades, scale
+from .errors import (EmptyRestrictorError, EnumerationLimitError,
+                     EvaluationError, QuantrelError)
+from .fuzzyset import FuzzySet, proportion_grades, scale
 from .quantale import Grade, Quantale
 from .vrel import IndexSet, VRel
 
@@ -81,23 +82,6 @@ def gq_holds(d: CrispQuantifier, a: frozenset, x: frozenset) -> bool:
     if d.kind == "no":
         return not (a & x)
     return len(a & x) == d.n
-
-
-GQ_UNIVERSE_GUARD = 14
-
-
-def gq_interpret(d: CrispQuantifier, a: frozenset, u: IndexSet) -> List[frozenset]:
-    """All subsets X of the universe with gq_holds(d, a, X)."""
-    if len(u) > GQ_UNIVERSE_GUARD:
-        raise EnumerationLimitError(
-            f"subset enumeration limited to universes of {GQ_UNIVERSE_GUARD}")
-    out = []
-    for r in range(len(u) + 1):
-        for combo in itertools.combinations(u.elements, r):
-            x = frozenset(combo)
-            if gq_holds(d, a, x):
-                out.append(x)
-    return out
 
 
 CONSERVATIVITY_GUARD = 12
@@ -197,13 +181,25 @@ def quantifier_vrel(d: Determiner, source: IndexSet, target: IndexSet,
 def apply_quantifier_argmax(d: Determiner, np_set: FuzzySet) -> FuzzySet:
     """The scaled copy of np_set whose proportion the determiner likes best.
 
-    Scans k = i * 0.01 for i = 0..100; proportion(scale(np, k), np)
-    equals k up to rounding, so this maximizes the distribution itself.
-    Ties go to the largest k.
+    Scans k = i * 0.01 for i = 0..100 and returns scale(np_set, k) for
+    the k whose proportion gets the highest possibility; ties go to the
+    largest k.  Each grid point is scored on the grade tuple, without
+    building the scaled set: for 0 <= k <= 1, IEEE rounding gives
+    k * g <= g, so min(g, k * g) is k * g, and
+    proportion(scale(np, k), np) is sum(k * g) / sum(g), summed in the
+    same order, bit for bit.  The proportion uses threshold 0, so every
+    grade counts, whatever the model's threshold.  The scan makes one
+    apply_distribution call per grid point, 101 in all, which is what
+    the benchmark's grid_points span counts.  An np_set of sigma-count
+    zero raises EmptyRestrictorError, as proportion does.
     """
+    grades = np_set.grades
+    denom = sum(grades)
+    if denom == 0.0:
+        raise EmptyRestrictorError("proportion against a set of sigma-count zero")
     best_k, best_v = 0.0, -1.0
     for k in (i * 0.01 for i in range(101)):
-        v = apply_distribution(d, proportion(scale(np_set, k), np_set))
+        v = apply_distribution(d, sum([k * g for g in grades]) / denom)
         if v >= best_v:
             best_k, best_v = k, v
     return scale(np_set, best_k)

@@ -160,10 +160,12 @@ class _Denotations:
         self.subj_det = self.obj_det = self.verb = None
         if words.subj_det:
             self.subj_det = _require(model.quantifiers, words.subj_det, "determiner")
+            require_quantale(self.subj_det, model.quantale)
         if words.verb:
             self.verb = _require(model.verbs, words.verb, "verb")
         if words.obj_det:
             self.obj_det = _require(model.quantifiers, words.obj_det, "determiner")
+            require_quantale(self.obj_det, model.quantale)
         self.obj = None
         if words.obj:
             group = model.nouns if words.obj_det else model.nps
@@ -559,10 +561,7 @@ def eval_categorical(tree: ParseTree, model: Model, mode: str = "restricted") ->
         return _pipeline_value(pipeline, model, wires, den)
 
     if form == SentenceForm.DOUBLE_QUANT:
-        # Operational reading; see the module docstring.  Its determiners
-        # face the same quantale check as the pipeline's.
-        require_quantale(den.subj_det, model.quantale)
-        require_quantale(den.obj_det, model.quantale)
+        # Operational reading; see the module docstring.
         return _operational_double_quant(den)
 
     return _pipeline_value(pipeline, model, _restricted_wires(form, den), den)

@@ -29,7 +29,6 @@ def test_sigma_count_fixture():
 
 def test_sigma_count_threshold_and_rounding():
     assert qr.sigma_count(BM, threshold=0.5) == pytest.approx(0.8 + 0.9 + 1.0, abs=1e-9)
-    assert qr.sigma_count(BM, rounded=True) == 3.0
 
 
 def test_intersect_fixture():

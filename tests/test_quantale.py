@@ -47,13 +47,6 @@ def test_by_name():
         qr.by_name("heyting")
 
 
-def test_is_godel_chain():
-    assert qr.is_godel_chain(qr.GODEL, [0.1, 0.5, 0.9])
-    assert not qr.is_godel_chain(qr.LUKASIEWICZ, [0.6, 0.7])
-    assert not qr.is_godel_chain(qr.PRODUCT, [0.5])
-    assert qr.is_godel_chain(qr.BOOLEAN, [0.0, 1.0])
-
-
 def test_random_triples_monoid_and_lattice_laws():
     """1000 random triples per instance: associativity, commutativity,
     unit, monotonicity and distributivity over binary joins."""

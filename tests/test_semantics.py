@@ -453,6 +453,21 @@ def test_restricted_double_quant_rejects_graded_determiner_over_boolean():
             qr.eval_categorical(tree, model, mode)
 
 
+def test_direct_rejects_graded_determiner_over_boolean():
+    """The direct evaluator refuses what the categorical one does: a
+    graded determiner has no Boolean reading in any form."""
+    from pathlib import Path
+    from quantrel.sampling import randomize_model
+    small = Path(__file__).resolve().parent.parent / "lexicons" / "small.json"
+    model = randomize_model(qr.load_lexicon(small), random.Random(0), crisp=True)
+    for sentence in ("several men see every men", "several men see some men",
+                     "most men run", "john see several men"):
+        with pytest.raises(qr.EvaluationError, match="needs a real-valued"):
+            qr.eval_zadeh_direct(_tree(sentence, model), model)
+        with pytest.raises(qr.EvaluationError, match="needs a real-valued"):
+            qr.degree_of_truth(sentence, model, method="direct")
+
+
 # -- state relations -----------------------------------------------------------
 
 
