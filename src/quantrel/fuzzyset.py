@@ -73,20 +73,34 @@ class FuzzySet:
 
 
 class FuzzyRelation:
-    """Graded binary relation over one universe; unlisted pairs grade 0."""
+    """Graded binary relation over one universe; unlisted pairs grade 0.
 
-    __slots__ = ("universe", "pairs")
+    `pairs` maps each (a, b) with a positive grade to that grade.  `rows`
+    holds the same entries by position: rows[i] lists (j, grade) for
+    every pair from the i-th universe element to the j-th, so an image
+    reads only the rows of the elements it starts from.  Both are built
+    in the one loop that checks every given pair: it must lie inside the
+    universe and its grade in [0, 1].  Zero grades are dropped.
+    """
+
+    __slots__ = ("universe", "pairs", "rows")
 
     def __init__(self, universe: IndexSet, pairs: Mapping[Tuple[object, object], float]):
         self.universe = universe
+        pos = {u: i for i, u in enumerate(universe.elements)}
+        rows = tuple([] for _ in pos)
         cleaned = {}
         for (a, b), g in pairs.items():
-            if a not in universe or b not in universe:
-                raise ShapeMismatchError(f"pair {(a, b)!r} outside the universe")
+            try:
+                i, j = pos[a], pos[b]
+            except KeyError:
+                raise ShapeMismatchError(f"pair {(a, b)!r} outside the universe") from None
             g = _check_grade(g)
             if g > 0.0:
                 cleaned[(a, b)] = g
+                rows[i].append((j, g))
         self.pairs = cleaned
+        self.rows = rows
 
     @classmethod
     def from_crisp(cls, rel: CrispRel) -> "FuzzyRelation":
@@ -144,18 +158,23 @@ def proportion(b: FuzzySet, a: FuzzySet, threshold: float = 0.0) -> float:
     return p
 
 
-def image_grades(pairs: Mapping[Tuple[object, object], float], universe: IndexSet,
+def image_grades(rows: Sequence[Sequence[Tuple[int, float]]],
                  a: Sequence[float]) -> Tuple[float, ...]:
-    """Max-min image of grade tuple a through graded pairs over universe:
+    """Max-min image of grade tuple a through the rows of a relation
+    (`FuzzyRelation.rows`):
 
-        image(b) = max over x of min(a(x), pairs(x, b))
+        image(b) = max over x of min(a(x), relation(x, b))
+
+    Elements x with a(x) = 0 add nothing, so their rows are never read
+    and an image costs the rows in the support of a.
     """
-    out = [0.0] * len(universe)
-    pos = {u: i for i, u in enumerate(universe.elements)}
-    for (x, y), g in pairs.items():
-        w = min(a[pos[x]], g)
-        if w > 0.0 and w > out[pos[y]]:
-            out[pos[y]] = w
+    out = [0.0] * len(rows)
+    for x, ax in enumerate(a):
+        if ax > 0.0:
+            for y, g in rows[x]:
+                w = g if g < ax else ax
+                if w > out[y]:
+                    out[y] = w
     return tuple(out)
 
 
@@ -166,7 +185,7 @@ def verb_image(v: FuzzyRelation, a: FuzzySet) -> FuzzySet:
     """
     if v.universe != a.universe:
         raise ShapeMismatchError("image needs a shared universe")
-    return FuzzySet(a.universe, image_grades(v.pairs, a.universe, a.grades))
+    return FuzzySet(a.universe, image_grades(v.rows, a.grades))
 
 
 def scale(a: FuzzySet, k: float) -> FuzzySet:

@@ -28,14 +28,19 @@ def _random_set(universe, pool, rng: random.Random) -> FuzzySet:
 
 
 def _random_verb(universe, pool, rng: random.Random) -> FuzzyRelation:
+    # Draw order is part of every seeded model: a row of grades, then,
+    # for an all-zero row, a target element before its positive grade.
+    # Only the positive pairs reach the relation.
     positive = [g for g in pool if g > 0.0]
+    elements = universe.elements
     pairs = {}
-    for x in universe.elements:
-        row = {(x, y): rng.choice(pool) for y in universe.elements}
-        if all(g == 0.0 for g in row.values()):
-            y = rng.choice(universe.elements)
-            row[(x, y)] = rng.choice(positive)
-        pairs.update(row)
+    for x in elements:
+        row = [((x, y), g) for y in elements if (g := rng.choice(pool)) > 0.0]
+        if row:
+            pairs.update(row)
+        else:
+            y = rng.choice(elements)
+            pairs[(x, y)] = rng.choice(positive)
     return FuzzyRelation(universe, pairs)
 
 

@@ -181,9 +181,10 @@ class _Denotations:
             # "d n v np": the transitive verb phrase plays the VP role;
             # its denotation x -> max_y min(v(x, y), obj(y)) is the image
             # of the object under the converse pairs.
-            converse = {(y, x): g for (x, y), g in self.verb.pairs.items()}
-            u = self.obj.universe
-            self.vp = FuzzySet(u, image_grades(converse, u, self.obj.grades))
+            converse = FuzzyRelation(
+                self.verb.universe, {(y, x): g for (x, y), g in self.verb.pairs.items()})
+            self.vp = FuzzySet(self.obj.universe,
+                               image_grades(converse.rows, self.obj.grades))
 
     def fuzzy_sets(self):
         return [fs for fs in (self.subj, self.vp, self.obj) if fs is not None]
@@ -437,11 +438,13 @@ def verb_state(verb: FuzzyRelation, source_set: IndexSet, target_set: IndexSet,
 
     Entry at (A, B): proportion of B inside the image of A (real
     quantales) or the unit exactly when B is the image of A (Boolean).
+    Each image goes through `image_grades` on the verb's rows, so it
+    reads only the rows of the elements A holds with a positive grade.
     """
     n2 = len(target_set)
     entries = {}
     for i, a in enumerate(source_set.elements):
-        image = image_grades(verb.pairs, verb.universe, a)
+        image = image_grades(verb.rows, a)
         for j, g in _state_row(image, target_set, q, threshold):
             entries[(0, i * n2 + j)] = g
     return VRel(IndexSet.unit(), source_set.tensor(target_set), q, entries=entries)

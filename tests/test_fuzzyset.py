@@ -77,6 +77,66 @@ def test_verb_image_identity_and_zero():
     assert qr.verb_image(zero, MICE).is_empty()
 
 
+def test_fuzzy_relation_rejects_pairs_outside_the_universe():
+    for pair in [("c1", "c9"), ("c9", "c1"), ("c9", "c9")]:
+        with pytest.raises(qr.ShapeMismatchError):
+            qr.FuzzyRelation(U3, {("c1", "c2"): 0.5, pair: 0.5})
+
+
+def test_fuzzy_relation_rejects_grades_outside_unit_interval():
+    for g in (1.5, -0.1):
+        with pytest.raises(qr.QuantrelError):
+            qr.FuzzyRelation(U3, {("c1", "c2"): 0.5, ("c2", "c3"): g})
+
+
+def test_fuzzy_relation_drops_zero_grades_and_indexes_rows():
+    rel = qr.FuzzyRelation(U3, {("c1", "c1"): 0.0, ("c1", "c3"): 0.8,
+                                ("c2", "c2"): 0, ("c3", "c1"): 1,
+                                ("c3", "c3"): 0.25})
+    assert rel.pairs == {("c1", "c3"): 0.8, ("c3", "c1"): 1.0, ("c3", "c3"): 0.25}
+    assert rel.rows == ([(2, 0.8)], [], [(0, 1.0), (2, 0.25)])
+    assert qr.FuzzyRelation(U3, {("c2", "c2"): 0.0}).rows == ([], [], [])
+
+
+def _rows_as_pairs(rel):
+    labels = rel.universe.elements
+    return {(labels[i], labels[j]): g
+            for i, row in enumerate(rel.rows) for j, g in row}
+
+
+def test_fuzzy_relation_rows_hold_exactly_the_pairs():
+    rng = random.Random(23)
+    for n in range(1, 7):
+        u = qr.IndexSet([f"x{i}" for i in range(n)])
+        for _ in range(30):
+            given_pairs = {(x, y): rng.choice((0.0, 0.0, 0.3, 0.5, 1.0))
+                           for x in u.elements for y in u.elements
+                           if rng.random() < 0.6}
+            rel = qr.FuzzyRelation(u, given_pairs)
+            assert rel.pairs == {p: g for p, g in given_pairs.items() if g > 0.0}
+            assert len(rel.rows) == n
+            assert sum(map(len, rel.rows)) == len(rel.pairs)
+            assert _rows_as_pairs(rel) == rel.pairs
+
+
+def test_verb_image_against_max_over_all_pairs():
+    """The row kernel against max over every (x, y) of min(a(x), v(x, y)),
+    on relations with empty rows and subjects with zero grades."""
+    rng = random.Random(29)
+    pool = (0.0, 0.0, 0.1, 0.25, 0.5, 0.7, 1.0)
+    for n in range(1, 9):
+        u = qr.IndexSet([f"x{i}" for i in range(n)])
+        for _ in range(40):
+            empty_rows = {x for x in u.elements if rng.random() < 0.3}
+            rel = qr.FuzzyRelation(u, {
+                (x, y): rng.choice(pool) for x in u.elements for y in u.elements
+                if x not in empty_rows})
+            subj = qr.FuzzySet(u, [rng.choice(pool) for _ in u.elements])
+            expected = [max(min(subj.grade(x), rel.grade(x, y)) for x in u.elements)
+                        for y in u.elements]
+            assert qr.verb_image(rel, subj).grades == tuple(expected)
+
+
 def test_scale_fixture():
     scaled = qr.scale(MICE, 0.4)
     assert scaled.as_dict() == pytest.approx({"c1": 0.28, "c2": 0.24, "c3": 0.08}, abs=1e-9)

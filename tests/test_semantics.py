@@ -48,6 +48,41 @@ def test_crisp_truth_double_quant_nested(crisp):
                                crisp) is True
 
 
+CRISP_DETS = {"every": {"kind": "every"}, "some": {"kind": "some"},
+              "no": {"kind": "no"}, "exactly1": {"kind": "exactly", "n": 1},
+              "exactly2": {"kind": "exactly", "n": 2}}
+
+
+def _count_holds(det: str, hits: int, size: int) -> bool:
+    """A crisp determiner as a condition on |A & X| and |A|."""
+    return {"every": hits == size, "some": hits > 0, "no": hits == 0,
+            "exactly1": hits == 1, "exactly2": hits == 2}[det]
+
+
+def test_crisp_double_quant_against_nested_loop():
+    """Crisp DoubleQuant truth against counting, element by element, the
+    objects each subject is related to."""
+    rng = random.Random(31)
+    for n in range(1, 9):
+        labels = [f"e{i}" for i in range(n)]
+        for _ in range(25):
+            men = [x for x in labels if rng.random() < 0.6]
+            trees = [y for y in labels if rng.random() < 0.6]
+            liked = [(x, y) for x in labels for y in labels if rng.random() < 0.4]
+            model = qr.load_lexicon({
+                "universe": labels, "quantale": "boolean", "grades": [0, 1],
+                "nouns": {"men": {x: 1 for x in men}, "trees": {y: 1 for y in trees}},
+                "verbs": {"liked": [[x, y, 1] for x, y in liked]},
+                "quantifiers": CRISP_DETS})
+            for d1, d2 in itertools.product(CRISP_DETS, repeat=2):
+                holders = sum(
+                    _count_holds(d2, sum((x, y) in liked for y in trees), len(trees))
+                    for x in men)
+                expected = _count_holds(d1, holders, len(men))
+                tree = _tree(f"{d1} men liked {d2} trees", model)
+                assert qr.eval_crisp_truth(tree, model) is expected, (d1, d2, n)
+
+
 # -- direct evaluation ---------------------------------------------------------
 
 
