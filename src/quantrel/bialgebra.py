@@ -105,37 +105,35 @@ class PowersetObject:
 
 def delta(s: IndexSet, q: Quantale) -> VRel:
     """Copy map S -> S x S: unit at (A, (A, A)), bottom elsewhere."""
-    n, e = len(s), q.unit
-    return VRel(s, s.tensor(s), q, entries={(i, i * n + i): e for i in range(n)})
+    n = len(s)
+    return VRel(s, s.tensor(s), q, index_map=[i * n + i for i in range(n)])
 
 
 def mu(a: IndexSet, b: IndexSet, out: IndexSet, q: Quantale) -> VRel:
     """Merge map A x B -> OUT: unit at ((A, B), pointwise min of A and B).
 
-    The entries are stored, one per pair whose meet is in out.  A meet
-    missing from out has no entry, which is how a restricted wire drops
-    it; on a whole powerset every meet is present."""
-    nb, e = len(b), q.unit
-    if len(a) * nb > MAX_ENTRIES:
+    A pair whose meet is missing from out has an empty row, which is
+    how a restricted wire drops it; on a whole powerset every meet is
+    present."""
+    if len(a) * len(b) > MAX_ENTRIES:
         raise EnumerationLimitError(
-            f"merge of {len(a)}x{nb} pairs exceeds the entry guard")
-    meets = ((i * nb + j, PowersetObject.meet(x, y))
-             for i, x in enumerate(a.elements) for j, y in enumerate(b.elements))
+            f"merge of {len(a)}x{len(b)} pairs exceeds the entry guard")
+    pos = {m: j for j, m in enumerate(out.elements)}
+    meet = PowersetObject.meet
     return VRel(a.tensor(b), out, q,
-                entries={(k, out.position(m)): e for k, m in meets if m in out})
+                index_map=[pos.get(meet(x, y), -1)
+                           for x in a.elements for y in b.elements])
 
 
 def iota(p: PowersetObject, q: Quantale) -> VRel:
     """Discard map S -> I: unit everywhere."""
-    e = q.unit
-    return VRel(p.index, IndexSet.unit(), q,
-                entries={(i, 0): e for i in range(len(p))})
+    return VRel(p.index, IndexSet.unit(), q, index_map=[0] * len(p))
 
 
 def zeta(p: PowersetObject, q: Quantale) -> VRel:
     """Unit map I -> S: unit exactly at the full subset."""
     return VRel(IndexSet.unit(), p.index, q,
-                entries={(0, p.index.position(p.full())): q.unit})
+                index_map=[p.index.position(p.full())])
 
 
 @dataclass(frozen=True)

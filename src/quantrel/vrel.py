@@ -10,10 +10,16 @@ The monoidal structure is strict: the unit index set is absorbed by
 products, and nested products are flattened, so no unitor or associator
 bookkeeping is ever needed.
 
-Every relation stores its entries except a tensor product, whose rows
-are built from its factors' rows on demand.  That keeps composites like
-(mu x mu) o (id x swap x id) o (delta x delta) linear in the size of
-their small end rather than in the size of the huge middle object.
+A relation takes one of three forms.  Most store their entries.  The
+structural generators that are functions (identity, swap, epsilon here,
+delta, mu, iota and zeta in `bialgebra`) are index maps: one target
+position, or none, per source position, always with the unit grade.  A
+tensor product keeps its two factors and reads their rows, or their
+targets when both are maps, on demand.  Composition of two maps is
+list indexing, and a graded relation passes through a map unchanged.
+That keeps composites like (mu x mu) o (id x swap x id) o
+(delta x delta) linear in the size of their small end rather than in
+the size of the huge middle object.
 
 identity, swap and epsilon are both what the snake and bialgebra law
 checkers certify and what the categorical evaluator wires its sentence
@@ -187,20 +193,35 @@ RowFn = Callable[[int], Iterable[Tuple[int, Grade]]]
 
 
 class VRel:
-    """A many-valued relation; a sparse grade matrix source -> target."""
+    """A many-valued relation; a sparse grade matrix source -> target.
 
-    __slots__ = ("source", "target", "quantale", "_entries", "_row_fn", "_rows")
+    It takes one of three forms, fixed at construction:
+
+    * stored entries: a {(source position, target position): grade}
+      dict without bottom grades;
+    * an index map: the relation of a partial function, a list holding
+      one target position per source position, -1 for an empty row,
+      with every related pair graded `q.unit`;
+    * a tensor of two factor relations, kept lazy (see `tensor_rel`).
+      A tensor of two maps is a map too; its list is built only when
+      it is needed whole, and then kept.
+    """
+
+    __slots__ = ("source", "target", "quantale", "_entries", "_map",
+                 "_factors", "_rows")
 
     def __init__(self, source: IndexSet, target: IndexSet, quantale: Quantale,
                  entries: Optional[Dict[Tuple[int, int], Grade]] = None,
-                 row_fn: Optional[RowFn] = None):
-        if (entries is None) == (row_fn is None):
-            raise ValueError("exactly one of entries/row_fn must be given")
+                 index_map: Optional[List[int]] = None,
+                 factors: Optional[Tuple["VRel", "VRel"]] = None):
+        if sum(form is not None for form in (entries, index_map, factors)) != 1:
+            raise ValueError("exactly one of entries/index_map/factors must be given")
         self.source = source
         self.target = target
         self.quantale = quantale
         self._entries = entries
-        self._row_fn = row_fn
+        self._map = index_map
+        self._factors = factors
         self._rows: Optional[Dict[int, List[Tuple[int, Grade]]]] = None
 
     # -- construction ------------------------------------------------
@@ -232,31 +253,86 @@ class VRel:
 
     # -- access ------------------------------------------------------
 
-    def is_materialized(self) -> bool:
-        return self._entries is not None
+    def is_map(self) -> bool:
+        """Whether this is an index map or a tensor of index maps."""
+        if self._factors is not None:
+            return self._factors[0].is_map() and self._factors[1].is_map()
+        return self._map is not None
+
+    def _index_map(self) -> List[int]:
+        """The whole list of a map; a tensor of maps builds it once."""
+        if self._map is None:
+            if len(self.source) > MAX_ENTRIES:
+                raise EnumerationLimitError(
+                    f"map of {len(self.source)} source positions exceeds the entry guard")
+            r, s = self._factors
+            right, n_tgt2 = s._index_map(), len(s.target)
+            self._map = [-1 if j1 < 0 or j2 < 0 else j1 * n_tgt2 + j2
+                         for j1 in r._index_map() for j2 in right]
+        return self._map
+
+    def _target_fn(self) -> Callable[[int], int]:
+        """Source position -> target position (-1 for none) of a map,
+        read through the factors of a tensor without building its list."""
+        if self._map is not None:
+            return self._map.__getitem__
+        r, s = self._factors
+        at1, at2 = r._target_fn(), s._target_fn()
+        n_src2, n_tgt2 = len(s.source), len(s.target)
+
+        def at(i: int) -> int:
+            i1, i2 = divmod(i, n_src2)
+            j1, j2 = at1(i1), at2(i2)
+            return -1 if j1 < 0 or j2 < 0 else j1 * n_tgt2 + j2
+
+        return at
+
+    def _row_fn(self) -> RowFn:
+        """Source position -> its (target position, grade) entries."""
+        if self._map is not None:
+            m, e = self._map, self.quantale.unit
+            return lambda i: ((m[i], e),) if m[i] >= 0 else ()
+        if self._factors is None:
+            if self._rows is None:
+                rows: Dict[int, List[Tuple[int, Grade]]] = {}
+                for (a, b), g in self._entries.items():
+                    rows.setdefault(a, []).append((b, g))
+                self._rows = rows
+            return lambda i, rows=self._rows: rows.get(i, ())
+        r, s = self._factors
+        row1, row2 = r._row_fn(), s._row_fn()
+        n_src2, n_tgt2 = len(s.source), len(s.target)
+        tensor, bottom = self.quantale.tensor, self.quantale.bottom
+
+        def row(i: int):
+            i1, i2 = divmod(i, n_src2)
+            out = []
+            for j1, g1 in row1(i1):
+                for j2, g2 in row2(i2):
+                    g = tensor(g1, g2)
+                    if g != bottom:
+                        out.append((j1 * n_tgt2 + j2, g))
+            return out
+
+        return row
 
     def entries(self) -> Dict[Tuple[int, int], Grade]:
-        if self._entries is None:
-            entries: Dict[Tuple[int, int], Grade] = {}
+        if self._entries is not None:
+            return self._entries
+        if self.is_map():
+            e = self.quantale.unit
+            entries = {(i, j): e for i, j in enumerate(self._index_map()) if j >= 0}
+        else:
+            row = self._row_fn()
+            entries = {}
             for i in range(len(self.source)):
-                for j, g in self._row_fn(i):
-                    if g != self.quantale.bottom:
-                        entries[(i, j)] = g
+                for j, g in row(i):
+                    entries[(i, j)] = g
                 if len(entries) > MAX_ENTRIES:
                     raise EnumerationLimitError(
                         "relation materialization exceeds the entry guard")
-            self._entries = entries
-        return self._entries
-
-    def rows(self, i: int) -> Iterable[Tuple[int, Grade]]:
-        if self._row_fn is not None:
-            return self._row_fn(i)
-        if self._rows is None:
-            rows: Dict[int, List[Tuple[int, Grade]]] = {}
-            for (a, b), g in self._entries.items():
-                rows.setdefault(a, []).append((b, g))
-            self._rows = rows
-        return self._rows.get(i, ())
+        self._entries = entries
+        return entries
 
     def entry(self, a, b) -> Grade:
         """Grade at an element pair (bottom when absent)."""
@@ -276,14 +352,20 @@ class VRel:
                 for i in range(len(self.source))]
 
     def support(self) -> int:
+        if self.is_map():
+            m = self._index_map()
+            return len(m) - m.count(-1)
         return len(self.entries())
 
     # -- comparison ---------------------------------------------------
 
     def equal(self, other: "VRel", tol: float = 0.0) -> bool:
-        """Entrywise equality; tol > 0 compares within that tolerance."""
+        """Entrywise equality; tol > 0 compares within that tolerance.
+        Two maps compare as lists."""
         if self.source != other.source or self.target != other.target:
             return False
+        if tol == 0.0 and self.is_map() and other.is_map():
+            return self._index_map() == other._index_map()
         a, b = self.entries(), other.entries()
         if tol == 0.0:
             return a == b
@@ -293,7 +375,8 @@ class VRel:
         return True
 
     def __repr__(self):
-        kind = "materialized" if self.is_materialized() else "functional"
+        kind = ("map" if self._map is not None else
+                "tensor" if self._factors is not None else "entries")
         return (f"VRel({len(self.source)}x{len(self.target)}, "
                 f"{self.quantale.name}, {kind})")
 
@@ -306,6 +389,16 @@ def compose(r: VRel, s: VRel) -> VRel:
 
     Grades form a chain, so the join over the middle index is a running
     maximum and `>` below is `Quantale.join` of two grades.
+
+    Maps take shortcuts that give the same entries.  Two maps compose
+    into a map by list indexing.  Every grade of a map is the unit, and
+    tensor(g, unit) == g == tensor(unit, g) exactly on all four
+    quantales (`_lukasiewicz_tensor` keeps this law float-exact), so a
+    graded relation's grades pass through a map unchanged: r o map
+    moves each entry of r to the mapped column, and map o s copies the
+    row of s at the mapped index.  A tensor of maps is built whole only
+    as the left operand; as the right one it is read through its
+    factors.
     """
     if r.quantale is not s.quantale:
         raise ShapeMismatchError(
@@ -313,10 +406,39 @@ def compose(r: VRel, s: VRel) -> VRel:
     if r.target != s.source:
         raise ShapeMismatchError("composition: r.target differs from s.source")
     q = r.quantale
-    tensor, bottom = q.tensor, q.bottom
+    bottom = q.bottom
     acc: Dict[Tuple[int, int], Grade] = {}
+    if r.is_map():
+        left = r._index_map()
+        if s.is_map():
+            at = s._target_fn()
+            return VRel(r.source, s.target, q,
+                        index_map=[at(k) if k >= 0 else -1 for k in left])
+        row = s._row_fn()
+        for i, k in enumerate(left):
+            if k < 0:
+                continue
+            for j, g in row(k):
+                if g != bottom:
+                    acc[(i, j)] = g
+            if len(acc) > MAX_ENTRIES:
+                raise EnumerationLimitError("composition exceeds the entry guard")
+        return VRel(r.source, s.target, q, entries=acc)
+    if s.is_map():
+        at = s._target_fn()
+        for (i, k), g in r.entries().items():
+            j = at(k)
+            if j < 0 or g == bottom:
+                continue
+            key = (i, j)
+            prev = acc.get(key)
+            if prev is None or g > prev:
+                acc[key] = g
+        return VRel(r.source, s.target, q, entries=acc)
+    tensor = q.tensor
+    row = s._row_fn()
     for (i, k), g1 in r.entries().items():
-        for j, g2 in s.rows(k):
+        for j, g2 in row(k):
             v = tensor(g1, g2)
             if v == bottom:
                 continue
@@ -331,43 +453,31 @@ def compose(r: VRel, s: VRel) -> VRel:
 
 def identity(a: IndexSet, q: Quantale) -> VRel:
     """Diagonal relation: unit on the diagonal, bottom elsewhere."""
-    e = q.unit
-    return VRel(a, a, q, entries={(i, i): e for i in range(len(a))})
+    return VRel(a, a, q, index_map=list(range(len(a))))
 
 
 def tensor_rel(r: VRel, s: VRel) -> VRel:
     """Parallel composition over product index sets.
 
-    The only relation kept as a row function: entries of the big product
-    matrix are generated row by row only when composition asks for them.
+    The only lazy relation: it keeps its two factors, and the rows (or,
+    for two maps, the targets) of the big product are read from theirs
+    only when composition asks for them.
     """
     if r.quantale is not s.quantale:
         raise ShapeMismatchError(
             f"cannot tensor over {r.quantale.name} and {s.quantale.name}")
-    q = r.quantale
-    source = r.source.tensor(s.source)
-    target = r.target.tensor(s.target)
-    n_src2, n_tgt2 = len(s.source), len(s.target)
-    tensor, bottom = q.tensor, q.bottom
-
-    def row(i: int):
-        i1, i2 = divmod(i, n_src2)
-        out = []
-        for j1, g1 in r.rows(i1):
-            for j2, g2 in s.rows(i2):
-                g = tensor(g1, g2)
-                if g != bottom:
-                    out.append((j1 * n_tgt2 + j2, g))
-        return out
-
-    return VRel(source, target, q, row_fn=row)
+    return VRel(r.source.tensor(s.source), r.target.tensor(s.target),
+                r.quantale, factors=(r, s))
 
 
 def epsilon(s: IndexSet, q: Quantale) -> VRel:
     """Cup: relates a pair (a, b) to the unit point exactly when a = b."""
-    n, e = len(s), q.unit
+    n = len(s)
+    if n * n > MAX_ENTRIES:
+        raise EnumerationLimitError(
+            f"cup over {n}x{n} pairs exceeds the entry guard")
     return VRel(s.tensor(s), IndexSet.unit(), q,
-                entries={(i * n + i, 0): e for i in range(n)})
+                index_map=[0 if i == j else -1 for i in range(n) for j in range(n)])
 
 
 def eta(s: IndexSet, q: Quantale) -> VRel:
@@ -379,13 +489,12 @@ def eta(s: IndexSet, q: Quantale) -> VRel:
 
 def swap(a: IndexSet, b: IndexSet, q: Quantale) -> VRel:
     """Symmetry: (x, y) goes to (y, x) with grade unit."""
-    na, nb, e = len(a), len(b), q.unit
+    na, nb = len(a), len(b)
     if na * nb > MAX_ENTRIES:
         raise EnumerationLimitError(
             f"swap of {na}x{nb} entries exceeds the entry guard")
     return VRel(a.tensor(b), b.tensor(a), q,
-                entries={(i * nb + j, j * na + i): e
-                         for i in range(na) for j in range(nb)})
+                index_map=[j * na + i for i in range(na) for j in range(nb)])
 
 
 def include(r: CrispRel, q: Quantale) -> VRel:
@@ -397,13 +506,11 @@ def include(r: CrispRel, q: Quantale) -> VRel:
     return VRel(r.source, r.target, q, entries=entries)
 
 
-# The snake composites themselves are cheap: together they materialize
-# about 2 n^2 entries, 18 ms at n = 64 and 1 s at n = 512 (Python 3.11,
-# 2 vCPUs).  The cap protects what `quantrel laws` runs after them on
-# the same powerset object: `check_monoid` takes 2.3 s and 130 MB at 64
-# subsets, 4.6 s and 240 MB at 81, and at 243 hits the entry guard only
-# after 5 s and 390 MB.  The cap rejects such an object before any law
-# runs.
+# The snake composites themselves are cheap: 11 ms at n = 64 and 0.8 s
+# at n = 512 (Python 3.11, 2 vCPUs).  The cap bounds the object that
+# `quantrel laws` checks: there `check_monoid` composes maps of n^3
+# positions, 0.13 s and 30 MB at 64 subsets and 0.23 s and 44 MB at 81;
+# at 243 the entry guard refuses its first n^3 map before building it.
 SNAKE_GUARD = 64
 
 

@@ -93,6 +93,15 @@ def test_comonoid_and_monoid_laws():
         assert qr.check_monoid(p, q).all_pass
 
 
+def test_check_monoid_refuses_a_large_object_before_building_it():
+    """At 243 subsets the composites of check_monoid have 243^3 source
+    positions; the map guard refuses them before allocating any."""
+    p = qr.PowersetObject(_universe(5), THREE_G)
+    assert len(p) == 243
+    with pytest.raises(qr.EnumerationLimitError, match="map of 14348907 source"):
+        qr.check_monoid(p, qr.GODEL)
+
+
 def test_generators_are_inclusion_images_for_boolean_lattice():
     """With the crisp lattice every structural map equals the lifted
     crisp relation defined by the same condition."""

@@ -212,6 +212,87 @@ def test_swap_entry_guard():
     b = qr.IndexSet(range(qr.vrel.MAX_ENTRIES // 2_000 + 1))
     with pytest.raises(qr.EnumerationLimitError):
         qr.swap(a, b, qr.GODEL)
+    with pytest.raises(qr.EnumerationLimitError):
+        qr.epsilon(qr.IndexSet(range(1_415)), qr.GODEL)
+
+
+# -- index maps ----------------------------------------------------------------
+
+
+def _stored(r):
+    """The same relation re-stored as plain entries."""
+    return qr.VRel(r.source, r.target, r.quantale, entries=dict(r.entries()))
+
+
+def _random_map(src, tgt, q, rng):
+    """A random partial function src -> tgt as an index map."""
+    return qr.VRel(src, tgt, q,
+                   index_map=[rng.randrange(-1, len(tgt)) for _ in range(len(src))])
+
+
+def _map_cases(q, form):
+    """Every map generator, partial ones included, and nested and partial
+    tensors of them; `form` is applied to each generator first."""
+    three = qr.PowersetObject(_sets(2)[0], qr.GradeLattice([0, 0.5, 1]))
+    p = qr.PowersetObject(_sets(1)[0], qr.GradeLattice([0, 0.5, 1]))
+    s, crisp = p.index, qr.IndexSet([(0.0,), (1.0,)])
+    a, b = _sets(2, 3)
+    gens = [form(g) for g in (
+        qr.identity(a, q), qr.swap(a, b, q), qr.epsilon(b, q),
+        qr.delta(three.index, q), qr.mu(three.index, three.index, three.index, q),
+        qr.mu(s, s, crisp, q), qr.mu(crisp, s, crisp, q), qr.iota(p, q), qr.zeta(p, q))]
+    ident, sw, eps, _, _, partial_mu, _, iota, zeta = gens
+    return gens + [
+        qr.tensor_rel(sw, eps),
+        qr.tensor_rel(qr.tensor_rel(eps, partial_mu), iota),
+        qr.tensor_rel(zeta, qr.tensor_rel(ident, partial_mu)),
+        qr.tensor_rel(qr.tensor_rel(iota, zeta), qr.tensor_rel(partial_mu, sw)),
+    ]
+
+
+@pytest.mark.parametrize("q", ALL, ids=lambda q: q.name)
+def test_map_forms_match_stored_entries(q):
+    """Each map case, built fresh for every use so that a tensor is read
+    through its factors, composes on either side with graded relations,
+    maps and tensors holding a map exactly as its stored copy does."""
+    rng = random.Random(8)
+    x, y, one = *_sets(3, 2), qr.IndexSet.unit()
+    scalar = qr.VRel.from_dict(one, one, q, {("*", "*"): 1.0 if q is qr.BOOLEAN else 0.75})
+    for k, ref in enumerate(_map_cases(q, _stored)):
+        def fresh():
+            return _map_cases(q, lambda g: g)[k]
+
+        assert fresh().is_map() and not ref.is_map()
+        assert fresh().entries() == ref.entries()
+        assert fresh().support() == ref.support()
+        ins = [_random_vrel(x, ref.source, q, rng), _random_map(x, ref.source, q, rng)]
+        ins.append(qr.tensor_rel(scalar, ins[1]))
+        outs = [_random_vrel(ref.target, y, q, rng), _random_map(ref.target, y, q, rng)]
+        outs.append(qr.tensor_rel(outs[1], scalar))
+        for r in ins:
+            assert qr.compose(r, fresh()).entries() == qr.compose(_stored(r), ref).entries()
+        for s in outs:
+            assert qr.compose(fresh(), s).entries() == qr.compose(ref, _stored(s)).entries()
+
+
+@pytest.mark.parametrize("q", ALL, ids=lambda q: q.name)
+def test_map_equal_across_forms(q):
+    """A map differs from itself with one row emptied or moved, in
+    either form of the other operand."""
+    for m in _map_cases(q, lambda g: g):
+        targets = [-1] * len(m.source)
+        for i, j in m.entries():
+            targets[i] = j
+        i = next(k for k, j in enumerate(targets) if j >= 0)
+        changed = [targets[:i] + [-1] + targets[i + 1:]]
+        if len(m.target) > 1:
+            moved = (targets[i] + 1) % len(m.target)
+            changed.append(targets[:i] + [moved] + targets[i + 1:])
+        for t in changed:
+            near = qr.VRel(m.source, m.target, q, index_map=t)
+            for other in (near, _stored(near)):
+                assert not m.equal(other) and not other.equal(m)
+        assert m.equal(_stored(m), tol=1e-9)
 
 
 def test_crisp_rel_validates_pairs():
