@@ -11,13 +11,13 @@ products, and nested products are flattened, so no unitor or associator
 bookkeeping is ever needed.
 
 A relation takes one of three forms.  Most store their entries.  The
-structural generators that are functions (identity, swap, epsilon here,
+structural generators that are functions (identity and swap here,
 delta, mu, iota and zeta in `bialgebra`) are index maps: one target
 position, or none, per source position, always with the unit grade.  A
 tensor product keeps its two factors and reads their rows, or their
 targets when both are maps, on demand.  Composition of two maps is
-list indexing, and a graded relation passes through a map unchanged.
-That keeps composites like (mu x mu) o (id x swap x id) o
+list indexing, and a graded relation passes through a map on its right
+unchanged.  That keeps composites like (mu x mu) o (id x swap x id) o
 (delta x delta) linear in the size of their small end rather than in
 the size of the huge middle object.
 
@@ -265,27 +265,29 @@ class VRel:
             if len(self.source) > MAX_ENTRIES:
                 raise EnumerationLimitError(
                     f"map of {len(self.source)} source positions exceeds the entry guard")
-            r, s = self._factors
-            right, n_tgt2 = s._index_map(), len(s.target)
-            self._map = [-1 if j1 < 0 or j2 < 0 else j1 * n_tgt2 + j2
-                         for j1 in r._index_map() for j2 in right]
+            self._map = self._targets()
         return self._map
 
-    def _target_fn(self) -> Callable[[int], int]:
-        """Source position -> target position (-1 for none) of a map,
-        read through the factors of a tensor without building its list."""
+    def _targets(self, positions: Optional[List[int]] = None) -> List[int]:
+        """Target position of a map at each of `positions` (by default
+        every source position, in order), -1 for an empty row or for a
+        position of -1.  A tensor reads its factors without building its
+        own list."""
         if self._map is not None:
-            return self._map.__getitem__
+            m = self._map
+            if positions is None:
+                return m
+            return [m[i] if i >= 0 else -1 for i in positions]
         r, s = self._factors
-        at1, at2 = r._target_fn(), s._target_fn()
         n_src2, n_tgt2 = len(s.source), len(s.target)
-
-        def at(i: int) -> int:
-            i1, i2 = divmod(i, n_src2)
-            j1, j2 = at1(i1), at2(i2)
-            return -1 if j1 < 0 or j2 < 0 else j1 * n_tgt2 + j2
-
-        return at
+        if positions is None:
+            js1 = [j for j in r._targets() for _ in range(n_src2)]
+            js2 = s._targets() * len(r.source)
+        else:
+            js1 = r._targets([i // n_src2 for i in positions])
+            js2 = s._targets([i % n_src2 for i in positions])
+        return [-1 if j1 < 0 or j2 < 0 else j1 * n_tgt2 + j2
+                for j1, j2 in zip(js1, js2)]
 
     def _row_fn(self) -> RowFn:
         """Source position -> its (target position, grade) entries."""
@@ -390,15 +392,13 @@ def compose(r: VRel, s: VRel) -> VRel:
     Grades form a chain, so the join over the middle index is a running
     maximum and `>` below is `Quantale.join` of two grades.
 
-    Maps take shortcuts that give the same entries.  Two maps compose
-    into a map by list indexing.  Every grade of a map is the unit, and
-    tensor(g, unit) == g == tensor(unit, g) exactly on all four
-    quantales (`_lukasiewicz_tensor` keeps this law float-exact), so a
-    graded relation's grades pass through a map unchanged: r o map
-    moves each entry of r to the mapped column, and map o s copies the
-    row of s at the mapped index.  A tensor of maps is built whole only
-    as the left operand; as the right one it is read through its
-    factors.
+    A map on the right takes a shortcut that gives the same entries.
+    Two maps compose into a map by list indexing.  Every grade of a map
+    is the unit, and tensor(g, unit) == g exactly on all four quantales
+    (`_lukasiewicz_tensor` keeps this law float-exact), so r o map moves
+    each grade of a graded r to the mapped column unchanged.  A tensor
+    of maps is built whole only as the left operand; as the right one
+    it is read through its factors.
     """
     if r.quantale is not s.quantale:
         raise ShapeMismatchError(
@@ -408,26 +408,11 @@ def compose(r: VRel, s: VRel) -> VRel:
     q = r.quantale
     bottom = q.bottom
     acc: Dict[Tuple[int, int], Grade] = {}
-    if r.is_map():
-        left = r._index_map()
-        if s.is_map():
-            at = s._target_fn()
-            return VRel(r.source, s.target, q,
-                        index_map=[at(k) if k >= 0 else -1 for k in left])
-        row = s._row_fn()
-        for i, k in enumerate(left):
-            if k < 0:
-                continue
-            for j, g in row(k):
-                if g != bottom:
-                    acc[(i, j)] = g
-            if len(acc) > MAX_ENTRIES:
-                raise EnumerationLimitError("composition exceeds the entry guard")
-        return VRel(r.source, s.target, q, entries=acc)
+    if r.is_map() and s.is_map():
+        return VRel(r.source, s.target, q, index_map=s._targets(r._index_map()))
     if s.is_map():
-        at = s._target_fn()
-        for (i, k), g in r.entries().items():
-            j = at(k)
+        ent = r.entries()
+        for ((i, _), g), j in zip(ent.items(), s._targets([k for _, k in ent])):
             if j < 0 or g == bottom:
                 continue
             key = (i, j)
@@ -472,12 +457,9 @@ def tensor_rel(r: VRel, s: VRel) -> VRel:
 
 def epsilon(s: IndexSet, q: Quantale) -> VRel:
     """Cup: relates a pair (a, b) to the unit point exactly when a = b."""
-    n = len(s)
-    if n * n > MAX_ENTRIES:
-        raise EnumerationLimitError(
-            f"cup over {n}x{n} pairs exceeds the entry guard")
+    n, e = len(s), q.unit
     return VRel(s.tensor(s), IndexSet.unit(), q,
-                index_map=[0 if i == j else -1 for i in range(n) for j in range(n)])
+                entries={(i * n + i, 0): e for i in range(n)})
 
 
 def eta(s: IndexSet, q: Quantale) -> VRel:
@@ -506,10 +488,10 @@ def include(r: CrispRel, q: Quantale) -> VRel:
     return VRel(r.source, r.target, q, entries=entries)
 
 
-# The snake composites themselves are cheap: 11 ms at n = 64 and 0.8 s
+# The snake composites themselves are cheap: 16 ms at n = 64 and 0.7 s
 # at n = 512 (Python 3.11, 2 vCPUs).  The cap bounds the object that
 # `quantrel laws` checks: there `check_monoid` composes maps of n^3
-# positions, 0.13 s and 30 MB at 64 subsets and 0.23 s and 44 MB at 81;
+# positions, 0.1 s and 32 MB at 64 subsets and 0.3 s and 48 MB at 81;
 # at 243 the entry guard refuses its first n^3 map before building it.
 SNAKE_GUARD = 64
 

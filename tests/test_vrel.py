@@ -212,8 +212,6 @@ def test_swap_entry_guard():
     b = qr.IndexSet(range(qr.vrel.MAX_ENTRIES // 2_000 + 1))
     with pytest.raises(qr.EnumerationLimitError):
         qr.swap(a, b, qr.GODEL)
-    with pytest.raises(qr.EnumerationLimitError):
-        qr.epsilon(qr.IndexSet(range(1_415)), qr.GODEL)
 
 
 # -- index maps ----------------------------------------------------------------
@@ -238,13 +236,13 @@ def _map_cases(q, form):
     s, crisp = p.index, qr.IndexSet([(0.0,), (1.0,)])
     a, b = _sets(2, 3)
     gens = [form(g) for g in (
-        qr.identity(a, q), qr.swap(a, b, q), qr.epsilon(b, q),
+        qr.identity(a, q), qr.swap(a, b, q),
         qr.delta(three.index, q), qr.mu(three.index, three.index, three.index, q),
         qr.mu(s, s, crisp, q), qr.mu(crisp, s, crisp, q), qr.iota(p, q), qr.zeta(p, q))]
-    ident, sw, eps, _, _, partial_mu, _, iota, zeta = gens
+    ident, sw, _, _, partial_mu, partial_mu2, iota, zeta = gens
     return gens + [
-        qr.tensor_rel(sw, eps),
-        qr.tensor_rel(qr.tensor_rel(eps, partial_mu), iota),
+        qr.tensor_rel(sw, partial_mu2),
+        qr.tensor_rel(qr.tensor_rel(partial_mu2, partial_mu), iota),
         qr.tensor_rel(zeta, qr.tensor_rel(ident, partial_mu)),
         qr.tensor_rel(qr.tensor_rel(iota, zeta), qr.tensor_rel(partial_mu, sw)),
     ]
@@ -265,14 +263,17 @@ def test_map_forms_match_stored_entries(q):
         assert fresh().is_map() and not ref.is_map()
         assert fresh().entries() == ref.entries()
         assert fresh().support() == ref.support()
-        ins = [_random_vrel(x, ref.source, q, rng), _random_map(x, ref.source, q, rng)]
-        ins.append(qr.tensor_rel(scalar, ins[1]))
-        outs = [_random_vrel(ref.target, y, q, rng), _random_map(ref.target, y, q, rng)]
-        outs.append(qr.tensor_rel(outs[1], scalar))
-        for r in ins:
-            assert qr.compose(r, fresh()).entries() == qr.compose(_stored(r), ref).entries()
-        for s in outs:
-            assert qr.compose(fresh(), s).entries() == qr.compose(ref, _stored(s)).entries()
+        r_map, s_map = _random_map(x, ref.source, q, rng), _random_map(ref.target, y, q, rng)
+        graded = _random_vrel(x, ref.source, q, rng)
+        ins = [(graded, graded), (r_map, _stored(r_map)),
+               (qr.tensor_rel(scalar, r_map), qr.tensor_rel(scalar, _stored(r_map)))]
+        graded = _random_vrel(ref.target, y, q, rng)
+        outs = [(graded, graded), (s_map, _stored(s_map)),
+                (qr.tensor_rel(s_map, scalar), qr.tensor_rel(_stored(s_map), scalar))]
+        for r, r_ref in ins:
+            assert qr.compose(r, fresh()).entries() == qr.compose(r_ref, ref).entries()
+        for s, s_ref in outs:
+            assert qr.compose(fresh(), s).entries() == qr.compose(ref, s_ref).entries()
 
 
 @pytest.mark.parametrize("q", ALL, ids=lambda q: q.name)
