@@ -29,9 +29,10 @@ from .quantifier import (CrispQuantifier, FuzzyQuantifier, apply_distribution,
 from .semantics import (Model, MorphismPipeline, SentenceWords, TruthReport,
                         compile_pipeline, degree_of_truth, eval_categorical,
                         eval_crisp_truth, eval_zadeh_direct, extract_words,
-                        lexical_state, verb_between, verb_state)
-from .vrel import (CrispRel, IndexSet, VRel, check_snake, compose, epsilon,
-                   eta, identity, include, snake_identities, swap,
-                   tensor_rel)
+                        lexical_state, verb_between, verb_relation,
+                        verb_state)
+from .vrel import (CrispRel, IndexSet, VRel, check_snake, compose, coname,
+                   epsilon, eta, identity, include, name, snake_identities,
+                   swap, tensor_rel)
 
 __version__ = "0.1.0"

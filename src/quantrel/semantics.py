@@ -22,8 +22,17 @@ and type-checked, and exhaustive mode evaluates it as a genuine join.
 
 Every structural atom of a pipeline is built by the same constructor
 the law checkers certify: `bialgebra.delta` and `bialgebra.mu`,
-`vrel.epsilon`, `vrel.identity` and `vrel.swap`, and
-`quantifier.quantifier_vrel` for determiners.
+`vrel.epsilon`, `vrel.identity` and `vrel.swap`.  A determiner is the
+effect `vrel.coname(quantifier_vrel(...))` on its restrictor and merged
+scope wires.  A transitive verb is `verb_relation`, from subject to
+object subsets, where its subject is one state wire, and its name
+`verb_state` where the subject is copied (doubly quantified sentences).
+In the paper's diagrams a determiner maps its restrictor to a fresh
+wire that a cup joins with the merged scope, and the verb is a state of
+pairs whose subject half a cup joins with the subject's wire; the snake
+identities rewrite both into these narrow layouts.  Outside the doubly
+quantified form no layer holds more than three subset wires, and values
+are the same bit for bit.
 """
 
 from __future__ import annotations
@@ -42,8 +51,8 @@ from .quantale import Quantale
 from .quantifier import (CrispQuantifier, Determiner, apply_distribution,
                          apply_quantifier_argmax, gq_holds, quantifier_vrel,
                          require_quantale)
-from .vrel import (IndexSet, VRel, compose, epsilon, identity, swap,
-                   tensor_rel)
+from .vrel import (IndexSet, VRel, compose, coname, epsilon, identity, name,
+                   swap, tensor_rel)
 
 
 @dataclass
@@ -76,24 +85,24 @@ class Model:
 
     def iter_sets(self):
         for group in (self.nouns, self.nps, self.vps):
-            for name, fs in group.items():
-                yield name, fs
+            for word, fs in group.items():
+                yield word, fs
 
     def validate(self) -> None:
-        for name, fs in self.iter_sets():
+        for word, fs in self.iter_sets():
             if fs.universe != self.universe:
-                raise ShapeMismatchError(f"denotation of {name!r} is over a different universe")
+                raise ShapeMismatchError(f"denotation of {word!r} is over a different universe")
             for g in fs.grades:
                 if g not in self.grades:
                     raise QuantrelError(
-                        f"grade {g:g} of {name!r} is outside the grade lattice")
-        for name, rel in self.verbs.items():
+                        f"grade {g:g} of {word!r} is outside the grade lattice")
+        for word, rel in self.verbs.items():
             if rel.universe != self.universe:
-                raise ShapeMismatchError(f"verb {name!r} is over a different universe")
+                raise ShapeMismatchError(f"verb {word!r} is over a different universe")
             for g in rel.pairs.values():
                 if g not in self.grades:
                     raise QuantrelError(
-                        f"grade {g:g} of verb {name!r} is outside the grade lattice")
+                        f"grade {g:g} of verb {word!r} is outside the grade lattice")
 
     def is_crisp(self) -> bool:
         return (all(fs.is_crisp() for _, fs in self.iter_sets())
@@ -282,23 +291,27 @@ def eval_zadeh_direct(tree: ParseTree, model: Model) -> float:
 class Atom:
     """One generator occurrence inside a pipeline layer."""
 
-    kind: str                      # state | verb_state | quant | delta | mu | eps | id | sigma
+    kind: str                      # state | verb | verb_state | det | delta | mu | eps | id | sigma
     label: str                     # display name
     wires_in: Tuple[str, ...]
     wires_out: Tuple[str, ...]
-    word: str = ""                 # lexicon word for state/verb_state/quant
+    word: str = ""                 # lexicon word for state/verb/verb_state/det
 
 
 def _state(label, word, wire):
     return Atom("state", label, (), (wire,), word)
 
 
+def _verb(word, w_in, w_out):
+    return Atom("verb", "v", (w_in,), (w_out,), word)
+
+
 def _verb_state(word, w1, w2):
     return Atom("verb_state", "v", (), (w1, w2), word)
 
 
-def _quant(label, word, w_in, w_out):
-    return Atom("quant", label, (w_in,), (w_out,), word)
+def _det(label, word, restrictor, scope):
+    return Atom("det", label, (restrictor, scope), (), word)
 
 
 def _delta(w, w1, w2):
@@ -355,6 +368,13 @@ def compile_pipeline(form: SentenceForm, words: SentenceWords) -> MorphismPipeli
     The composite always type-checks to a unit-to-unit relation, and its
     join-of-tensors expansion is the expected max-min expression over
     the bound subset variables.
+
+    Each layout is the sentence's diagram rewritten by the snake
+    identities into an equal narrow one (see the module docstring), and
+    each state enters just before the layer that first consumes its
+    wire.  Graded factors meet in the diagram's order (np, v, np', d,
+    d'): the product and Lukasiewicz float tensors are not associative,
+    so that order keeps values bit for bit.
     """
     if form == SentenceForm.BARE_INTRANSITIVE:
         layers = (
@@ -365,25 +385,25 @@ def compile_pipeline(form: SentenceForm, words: SentenceWords) -> MorphismPipeli
         layers = (
             (_state("np", words.subj, "A"), _state("vp", words.vp or words.verb, "B")),
             (_delta("A", "A1", "A2"), _id("B")),
-            (_quant("d", words.subj_det, "A1", "F"), _mu("A2", "B", "G")),
-            (_eps("F", "G"),),
+            (_id("A1"), _mu("A2", "B", "G")),
+            (_det("d", words.subj_det, "A1", "G"),),
         )
     elif form == SentenceForm.BARE_TRANSITIVE:
         layers = (
-            (_state("np", words.subj, "A"), _verb_state(words.verb, "A2", "B"),
-             _state("np'", words.obj, "C")),
-            (_eps("A", "A2"), _id("B"), _id("C")),
+            (_state("np", words.subj, "A"),),
+            (_verb(words.verb, "A", "B"),),
+            (_id("B"), _state("np'", words.obj, "C")),
             (_eps("B", "C"),),
         )
     elif form == SentenceForm.QUANT_OBJECT:
         layers = (
-            (_state("np", words.subj, "A"), _verb_state(words.verb, "A2", "B"),
-             _state("np'", words.obj, "C")),
-            (_eps("A", "A2"), _id("B"), _id("C")),
+            (_state("np", words.subj, "A"),),
+            (_verb(words.verb, "A", "B"),),
+            (_id("B"), _state("np'", words.obj, "C")),
             (_id("B"), _delta("C", "C1", "C2")),
             (_sigma("B", "C1"), _id("C2")),
-            (_quant("d", words.obj_det, "C1", "F"), _mu("B", "C2", "G")),
-            (_eps("F", "G"),),
+            (_id("C1"), _mu("B", "C2", "G")),
+            (_det("d", words.obj_det, "C1", "G"),),
         )
     else:  # DOUBLE_QUANT
         layers = (
@@ -392,9 +412,8 @@ def compile_pipeline(form: SentenceForm, words: SentenceWords) -> MorphismPipeli
             (_delta("A", "A1", "A2"), _id("B"), _id("D"), _delta("C", "C1", "C2")),
             (_id("A1"), _id("A2"), _id("B"), _sigma("D", "C1"), _id("C2")),
             (_id("A1"), _id("A2"), _id("B"), _id("C1"), _sigma("D", "C2")),
-            (_quant("d", words.subj_det, "A1", "F"), _mu("A2", "B", "G"),
-             _quant("d'", words.obj_det, "C1", "F'"), _mu("C2", "D", "G'")),
-            (_eps("F", "G"), _eps("F'", "G'")),
+            (_id("A1"), _mu("A2", "B", "G"), _id("C1"), _mu("C2", "D", "G'")),
+            (_det("d", words.subj_det, "A1", "G"), _det("d'", words.obj_det, "C1", "G'")),
         )
     pipeline = MorphismPipeline(form, layers)
     pipeline.check_types()
@@ -432,22 +451,28 @@ def lexical_state(fs: FuzzySet, target: IndexSet, q: Quantale,
     return VRel(IndexSet.unit(), target, q, entries={(0, j): g for j, g in row})
 
 
-def verb_state(verb: FuzzyRelation, source_set: IndexSet, target_set: IndexSet,
-               q: Quantale, threshold: float = 0.0) -> VRel:
-    """The state relation of a transitive verb: unit point to subset pairs.
+def verb_relation(verb: FuzzyRelation, source_set: IndexSet, target_set: IndexSet,
+                  q: Quantale, threshold: float = 0.0) -> VRel:
+    """The relation of a transitive verb from subject to object subsets.
 
     Entry at (A, B): proportion of B inside the image of A (real
     quantales) or the unit exactly when B is the image of A (Boolean).
     Each image goes through `image_grades` on the verb's rows, so it
     reads only the rows of the elements A holds with a positive grade.
     """
-    n2 = len(target_set)
     entries = {}
     for i, a in enumerate(source_set.elements):
         image = image_grades(verb.rows, a)
         for j, g in _state_row(image, target_set, q, threshold):
-            entries[(0, i * n2 + j)] = g
-    return VRel(IndexSet.unit(), source_set.tensor(target_set), q, entries=entries)
+            entries[(i, j)] = g
+    return VRel(source_set, target_set, q, entries=entries)
+
+
+def verb_state(verb: FuzzyRelation, source_set: IndexSet, target_set: IndexSet,
+               q: Quantale, threshold: float = 0.0) -> VRel:
+    """The state relation of a transitive verb: unit point to subset
+    pairs, the name of `verb_relation`."""
+    return name(verb_relation(verb, source_set, target_set, q, threshold))
 
 
 # -- categorical evaluation -------------------------------------------------
@@ -462,10 +487,12 @@ def _atom_vrel(atom: Atom, model: Model, wires: Dict[str, IndexSet],
     if atom.kind == "state":
         fs = {"np": den.subj, "vp": den.vp, "np'": den.obj}[atom.label]
         return lexical_state(fs, outs[0], q, t)
+    if atom.kind == "verb":
+        return verb_relation(den.verb, ins[0], outs[0], q, t)
     if atom.kind == "verb_state":
         return verb_state(den.verb, outs[0], outs[1], q, t)
-    if atom.kind == "quant":
-        return quantifier_vrel(model.quantifiers[atom.word], ins[0], outs[0], q, t)
+    if atom.kind == "det":
+        return coname(quantifier_vrel(model.quantifiers[atom.word], ins[0], ins[1], q, t))
     if atom.kind == "delta":
         return delta(ins[0], q)
     if atom.kind == "mu":
@@ -496,19 +523,15 @@ def _restricted_wires(form: SentenceForm, den: _Denotations) -> Dict[str, IndexS
         meet = tuple(map(min, n_t, vp_t))
         w_a = IndexSet([n_t])
         w_b = IndexSet([vp_t])
-        w_fg = IndexSet([meet])
-        return {"A": w_a, "A1": w_a, "A2": w_a, "B": w_b, "F": w_fg, "G": w_fg}
+        return {"A": w_a, "A1": w_a, "A2": w_a, "B": w_b, "G": IndexSet([meet])}
     if form == SentenceForm.QUANT_OBJECT:
         np_t = den.subj.as_tuple()
         image = verb_image(den.verb, den.subj).as_tuple()
         n_t = den.obj.as_tuple()
         meet = tuple(map(min, image, n_t))
-        w_a = IndexSet([np_t])
-        w_b = IndexSet([image])
         w_c = IndexSet([n_t])
-        w_fg = IndexSet([meet])
-        return {"A": w_a, "A2": w_a, "B": w_b, "C": w_c, "C1": w_c, "C2": w_c,
-                "F": w_fg, "G": w_fg}
+        return {"A": IndexSet([np_t]), "B": IndexSet([image]),
+                "C": w_c, "C1": w_c, "C2": w_c, "G": IndexSet([meet])}
     if form == SentenceForm.BARE_INTRANSITIVE:
         np_t, vp_t = den.subj.as_tuple(), den.vp.as_tuple()
         shared = IndexSet(dict.fromkeys([np_t, vp_t, tuple(map(min, np_t, vp_t))]))
@@ -517,9 +540,8 @@ def _restricted_wires(form: SentenceForm, den: _Denotations) -> Dict[str, IndexS
         np_t = den.subj.as_tuple()
         image = verb_image(den.verb, den.subj).as_tuple()
         obj_t = den.obj.as_tuple()
-        w_a = IndexSet([np_t])
         shared = IndexSet(dict.fromkeys([image, obj_t, tuple(map(min, image, obj_t))]))
-        return {"A": w_a, "A2": w_a, "B": shared, "C": shared}
+        return {"A": IndexSet([np_t]), "B": shared, "C": shared}
     raise EvaluationError(f"no restricted wiring for {form}")
 
 
@@ -543,7 +565,10 @@ def eval_categorical(tree: ParseTree, model: Model, mode: str = "restricted") ->
     if mode == "exhaustive":
         p = model.powerset()
         # The layered join enumerates one subset per wire crossing a
-        # layer boundary, so the widest boundary sets its cost.
+        # layer boundary, so the widest boundary sets its cost: 2 wires
+        # for the bare forms, 3 for QuantSubject and QuantObject, 6 for
+        # DoubleQuant.  The guard thus admits |P| up to 4472, 271 and
+        # 16 subsets.
         width = max(sum(len(atom.wires_out) for atom in layer)
                     for layer in pipeline.layers)
         work = len(p) ** width

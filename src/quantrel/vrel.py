@@ -23,7 +23,10 @@ the size of the huge middle object.
 
 identity, swap and epsilon are both what the snake and bialgebra law
 checkers certify and what the categorical evaluator wires its sentence
-pipelines from.
+pipelines from.  `name` and `coname` bend a relation X -> Y into a
+state I -> X x Y or an effect X x Y -> I by re-indexing its entries;
+they are the composites with eta and epsilon that the snake identities
+relate, computed without composing.
 
 Values are immutable after construction and safe to share across
 threads.
@@ -467,6 +470,26 @@ def eta(s: IndexSet, q: Quantale) -> VRel:
     n, e = len(s), q.unit
     return VRel(IndexSet.unit(), s.tensor(s), q,
                 entries={(0, i * n + i): e for i in range(n)})
+
+
+def name(r: VRel) -> VRel:
+    """The name of r: X -> Y bent into a state I -> X x Y.
+
+    Each entry (x, y) of r moves to the pair (x, y) unchanged, which is
+    eta(X) ; (id(X) x r) entry for entry: r's grades meet only units."""
+    n = len(r.target)
+    return VRel(IndexSet.unit(), r.source.tensor(r.target), r.quantale,
+                entries={(0, i * n + j): g for (i, j), g in r.entries().items()})
+
+
+def coname(r: VRel) -> VRel:
+    """The coname of r: X -> Y bent into an effect X x Y -> I.
+
+    Each entry (x, y) of r moves to the pair (x, y) unchanged, which is
+    (r x id(Y)) ; epsilon(Y) entry for entry."""
+    n = len(r.target)
+    return VRel(r.source.tensor(r.target), IndexSet.unit(), r.quantale,
+                entries={(i * n + j, 0): g for (i, j), g in r.entries().items()})
 
 
 def swap(a: IndexSet, b: IndexSet, q: Quantale) -> VRel:

@@ -148,7 +148,7 @@ def test_pipeline_printing(animals):
     tree = _tree("several cats sleep", animals)
     words = qr.extract_words(tree, qr.classify(tree))
     pipe = qr.compile_pipeline(qr.SentenceForm.QUANT_SUBJECT, words)
-    assert str(pipe) == "eps ∘ (d ⊗ mu) ∘ (delta ⊗ id) ∘ (np ⊗ vp)"
+    assert str(pipe) == "d ∘ (id ⊗ mu) ∘ (delta ⊗ id) ∘ (np ⊗ vp)"
 
     tree = _tree("mice sleep", animals)
     words = qr.extract_words(tree, qr.classify(tree))
@@ -349,6 +349,84 @@ def test_exhaustive_matches_brute_force_on_random_models():
                                          qr.apply_distribution(several, mp)))
         assert qr.eval_categorical(tree, model, "exhaustive") == \
             pytest.approx(best, abs=1e-12)
+
+
+def _object_lexicon(quantale):
+    """Three elements and four grades: 64 graded subsets per wire."""
+    return {
+        "universe": ["u0", "u1", "u2"],
+        "quantale": quantale,
+        "grades": [0, 0.25, 0.75, 1],
+        "nouns": {"men": {"u0": 1.0, "u1": 0.25, "u2": 0.75}},
+        "vps": {"run": {"u1": 1.0}},
+        "verbs": {"see": [["u0", "u1", 0.75], ["u0", "u2", 0.75], ["u1", "u0", 1.0],
+                          ["u2", "u1", 1.0], ["u2", "u2", 1.0]]},
+        "nps": {"john": {"u0": 0.75, "u1": 0.25}, "mary": {"u1": 0.75, "u2": 1.0}},
+        "quantifiers": {
+            "several": {"kind": "fuzzy", "breakpoints": [list(b) for b in SEVERAL_BPS]},
+            "few": {"kind": "fuzzy",
+                    "breakpoints": [[0, 0], [0.1, 1], [0.3, 1], [0.6, 0], [1, 0]]},
+            "every": {"kind": "every"},
+        },
+    }
+
+
+@pytest.mark.parametrize("quantale", ["godel", "product", "lukasiewicz"])
+def test_exhaustive_object_forms_at_64_subsets_match_brute_force(quantale):
+    """BareTransitive and QuantObject over 64 subsets per wire: the
+    pipeline equals nested loops over every subject, image and object
+    subset, with no relation composed."""
+    model = qr.load_lexicon(_object_lexicon(quantale))
+    q = model.quantale
+    members = list(itertools.product((0.0, 0.25, 0.75, 1.0), repeat=3))
+    assert len(members) == 64
+    pos = model.universe.position
+
+    def prop(b, a):
+        denom = sum(a)
+        return 0.0 if denom == 0 else sum(map(min, a, b)) / denom
+
+    def image(a, verb):
+        out = [0.0, 0.0, 0.0]
+        for (x, y), g in verb.pairs.items():
+            out[pos(y)] = max(out[pos(y)], min(a[pos(x)], g))
+        return tuple(out)
+
+    def tensor(*grades):
+        acc = grades[0]
+        for g in grades[1:]:
+            acc = q.tensor(acc, g)
+        return acc
+
+    def det_entry(det, c, g):
+        if det == "every":
+            return 1.0 if all(x <= y for x, y in zip(c, g)) else 0.0
+        return qr.apply_distribution(model.quantifiers[det], prop(g, c)) if sum(c) else 0.0
+
+    see = model.verbs["see"]
+    verb = [[prop(b, image(a, see)) for b in members] for a in members]
+    men = [prop(c, model.nouns["men"].as_tuple()) for c in members]
+    idx = range(len(members))
+    for subj, obj in (("john", "mary"), ("mary", "john")):
+        np_ = [prop(a, model.nps[subj].as_tuple()) for a in members]
+        obj_ = [prop(b, model.nps[obj].as_tuple()) for b in members]
+        best = max(tensor(np_[i], verb[i][j], obj_[j]) for i in idx for j in idx)
+        got = qr.eval_categorical(_tree(f"{subj} see {obj}", model), model, "exhaustive")
+        assert got == pytest.approx(best, abs=1e-12)
+
+    values = []
+    for subj, det in (("john", "few"), ("mary", "few"), ("john", "several"),
+                      ("mary", "every")):
+        np_ = [prop(a, model.nps[subj].as_tuple()) for a in members]
+        dq = [[det_entry(det, c, tuple(map(min, b, c))) for c in members] for b in members]
+        # A zero factor zeroes the term in all three quantales.
+        best = max(tensor(np_[i], verb[i][j], men[k], dq[j][k])
+                   for i in idx if np_[i] for j in idx if verb[i][j] for k in idx)
+        got = qr.eval_categorical(_tree(f"{subj} see {det} men", model), model,
+                                  "exhaustive")
+        assert got == pytest.approx(best, abs=1e-12)
+        values.append(got)
+    assert min(values) < 0.8 < max(values)
 
 
 def test_boolean_collapse_sample():

@@ -296,6 +296,41 @@ def test_map_equal_across_forms(q):
         assert m.equal(_stored(m), tol=1e-9)
 
 
+def _bent_cases(q, rng):
+    """Relations X -> Y to bend: partial graded ones over atomic,
+    product and unit index sets, and an index map."""
+    a, b, c, d = _sets(2, 3, 4, 1)
+    one = qr.IndexSet.unit()
+    pairs = [(a, c), (a.tensor(b), c), (c, a.tensor(b)), (a.tensor(b), c.tensor(d)),
+             (b.tensor(c), a.tensor(b)), (one, c), (a, one)]
+    cases = [_random_vrel(x, y, q, rng, density=0.5) for x, y in pairs]
+    cases.append(_random_map(b.tensor(a), c, q, rng))
+    return cases
+
+
+@pytest.mark.parametrize("q", ALL, ids=lambda q: q.name)
+def test_name_and_coname_match_their_composites(q):
+    """name(r) = eta(X) ; (id(X) x r) and coname(r) = (r x id(Y)) ; eps(Y),
+    entry for entry; both keep r's grades at the (x, y) pairs."""
+    rng = random.Random(21)
+    for r in _bent_cases(q, rng):
+        x, y = r.source, r.target
+        named = qr.name(r)
+        assert named.source.is_unit() and named.target == x.tensor(y)
+        composite = qr.compose(qr.eta(x, q), qr.tensor_rel(qr.identity(x, q), r))
+        assert named.entries() == composite.entries()
+        assert named.equal(composite)
+        conamed = qr.coname(r)
+        assert conamed.source == x.tensor(y) and conamed.target.is_unit()
+        composite = qr.compose(qr.tensor_rel(r, qr.identity(y, q)), qr.epsilon(y, q))
+        assert conamed.entries() == composite.entries()
+        assert conamed.equal(composite)
+        for k, pair in enumerate(x.tensor(y).elements):
+            want = r.entries().get(divmod(k, len(y)), q.bottom)
+            assert named.entry("*", pair) == want
+            assert conamed.entry(pair, "*") == want
+
+
 def test_crisp_rel_validates_pairs():
     a, b = _sets(2, 2)
     with pytest.raises(qr.ShapeMismatchError):
