@@ -13,13 +13,13 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Collection, Optional, Sequence, Tuple, Union
 
 from .errors import (EmptyRestrictorError, EnumerationLimitError,
                      EvaluationError, QuantrelError)
 from .fuzzyset import FuzzySet, proportion_grades, scale
 from .quantale import Grade, Quantale
-from .vrel import IndexSet, VRel
+from .vrel import MAX_ENTRIES, IndexSet, VRel
 
 CRISP_KINDS = ("every", "some", "no", "exactly")
 
@@ -169,13 +169,36 @@ def require_quantale(d: Determiner, q: Quantale) -> None:
 
 
 def quantifier_vrel(d: Determiner, source: IndexSet, target: IndexSet,
-                    q: Quantale, threshold: float = 0.0) -> VRel:
+                    q: Quantale, threshold: float = 0.0,
+                    pairs: Optional[Collection[Tuple[int, int]]] = None) -> VRel:
     """Encode the determiner as a relation between index sets of grade
-    tuples: restrictor subsets in source, scope subsets in target."""
+    tuples: restrictor subsets in source, scope subsets in target.
+
+    `pairs` lists the (source position, target position) pairs to grade,
+    each once; by default every pair is graded.  An entry outside
+    `pairs` is left bottom, and an entry inside it is the same
+    `graded_entry` value the full table holds.  The entry guard counts
+    the pairs graded.
+
+    The exhaustive categorical join grades only the pairs it reaches:
+    the determiner meets the merged scope A∧B with its restrictor A, so
+    every reached pair is a conservative pair (A, A∧B), scope below
+    restrictor pointwise, never all of P x P.
+    """
     require_quantale(d, q)
-    return VRel.from_function(
-        source, target, q,
-        lambda a, b: graded_entry(d, a, b, threshold))
+    n_pairs = len(source) * len(target) if pairs is None else len(pairs)
+    if n_pairs > MAX_ENTRIES:
+        raise EnumerationLimitError(
+            f"determiner table of {n_pairs} pairs exceeds the entry guard")
+    if pairs is None:
+        pairs = itertools.product(range(len(source)), range(len(target)))
+    restrictors, scopes = source.elements, target.elements
+    entries = {}
+    for i, j in pairs:
+        g = graded_entry(d, restrictors[i], scopes[j], threshold)
+        if g != q.bottom:
+            entries[(i, j)] = g
+    return VRel(source, target, q, entries=entries)
 
 
 def apply_quantifier_argmax(d: Determiner, np_set: FuzzySet) -> FuzzySet:

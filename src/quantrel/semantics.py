@@ -33,6 +33,15 @@ pairs whose subject half a cup joins with the subject's wire; the snake
 identities rewrite both into these narrow layouts.  Outside the doubly
 quantified form no layer holds more than three subset wires, and values
 are the same bit for bit.
+
+A determiner is graded only at the (restrictor, scope) pairs the join
+reaches, never over all of P x P.  The layers compose left to right,
+and each is built after the state composed so far; `compose` reads a
+layer only at the rows in that state's support, so the determiner
+table holds those rows alone.  Its scope wire is the merge of its
+restrictor with the scope, so every reached pair is a conservative
+pair (A, A∧B).  Each reached entry is the one the full table holds, so
+this is exact: values are the same bit for bit.
 """
 
 from __future__ import annotations
@@ -479,8 +488,14 @@ def verb_state(verb: FuzzyRelation, source_set: IndexSet, target_set: IndexSet,
 
 
 def _atom_vrel(atom: Atom, model: Model, wires: Dict[str, IndexSet],
-               den: "_Denotations") -> VRel:
-    """The relation an atom denotes over the index sets of its wires."""
+               den: "_Denotations", state: Optional[VRel] = None,
+               stride: int = 1) -> VRel:
+    """The relation an atom denotes over the index sets of its wires.
+
+    A det atom is graded only at the rows that `state`, the composite
+    of the layers before its own, reaches: its digit of each position in
+    the state's support, where `stride` is the product of the source
+    sizes of the atoms to its right in the layer."""
     q, t = model.quantale, model.threshold
     ins = [wires[w] for w in atom.wires_in]
     outs = [wires[w] for w in atom.wires_out]
@@ -492,7 +507,11 @@ def _atom_vrel(atom: Atom, model: Model, wires: Dict[str, IndexSet],
     if atom.kind == "verb_state":
         return verb_state(den.verb, outs[0], outs[1], q, t)
     if atom.kind == "det":
-        return coname(quantifier_vrel(model.quantifiers[atom.word], ins[0], ins[1], q, t))
+        n = len(ins[1])
+        size = len(ins[0]) * n
+        pairs = {divmod(k // stride % size, n) for _, k in state.entries()}
+        return coname(quantifier_vrel(model.quantifiers[atom.word], ins[0], ins[1],
+                                      q, t, pairs))
     if atom.kind == "delta":
         return delta(ins[0], q)
     if atom.kind == "mu":
@@ -510,9 +529,27 @@ def _atom_vrel(atom: Atom, model: Model, wires: Dict[str, IndexSet],
 
 def _pipeline_value(pipeline: MorphismPipeline, model: Model,
                     wires: Dict[str, IndexSet], den: "_Denotations") -> float:
-    layers = [reduce(tensor_rel, (_atom_vrel(atom, model, wires, den) for atom in layer))
-              for layer in pipeline.layers]
-    return float(reduce(compose, layers).scalar())
+    """The scalar of the pipeline's layers composed left to right.
+
+    Each layer is built after the state composed so far, a relation
+    from the unit, because `compose(state, layer)` reads the layer only
+    at the rows in the state's support.  A det atom is therefore graded
+    only at the (restrictor, scope) pairs the join reaches, each factor
+    of a layer at its digit of each reached row (row-major, as
+    `tensor_rel` lays them out).  Those are conservative pairs
+    (A, A∧B), since the scope wire is the merge of the restrictor with
+    the scope.  Every reached row holds the same entries it would in the
+    full table, so the value is the same bit for bit.
+    """
+    state = None
+    for layer in pipeline.layers:
+        rels, stride = [], 1
+        for atom in reversed(layer):
+            rels.append(_atom_vrel(atom, model, wires, den, state, stride))
+            stride *= len(rels[-1].source)
+        rel = reduce(tensor_rel, reversed(rels))
+        state = rel if state is None else compose(state, rel)
+    return float(state.scalar())
 
 
 def _restricted_wires(form: SentenceForm, den: _Denotations) -> Dict[str, IndexSet]:

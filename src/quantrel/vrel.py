@@ -230,21 +230,6 @@ class VRel:
     # -- construction ------------------------------------------------
 
     @classmethod
-    def from_function(cls, source: IndexSet, target: IndexSet, q: Quantale,
-                      fn: Callable[[object, object], Grade]) -> "VRel":
-        """Materialize fn over all element pairs (guarded)."""
-        if len(source) * len(target) > MAX_ENTRIES:
-            raise EnumerationLimitError(
-                f"relation of {len(source)}x{len(target)} entries exceeds guard")
-        entries = {}
-        for i, a in enumerate(source.elements):
-            for j, b in enumerate(target.elements):
-                g = fn(a, b)
-                if g != q.bottom:
-                    entries[(i, j)] = g
-        return cls(source, target, q, entries=entries)
-
-    @classmethod
     def from_dict(cls, source: IndexSet, target: IndexSet, q: Quantale,
                   mapping: Dict[Tuple[object, object], Grade]) -> "VRel":
         """Build from a {(source element, target element): grade} mapping."""

@@ -69,6 +69,35 @@ def test_random_triples_monoid_and_lattice_laws():
             assert abs(lhs - rhs) <= tol
 
 
+def _grades_of(q):
+    return st.sampled_from((0.0, 1.0)) if q.carrier == "boolean" else grades
+
+
+@pytest.mark.parametrize("q", ALL, ids=lambda q: q.name)
+@given(data=st.data())
+def test_tensor_unit_law_is_exact(q, data):
+    """compose's map shortcut moves a grade past a unit unchanged."""
+    g = data.draw(_grades_of(q))
+    assert q.tensor(g, q.unit) == g == q.tensor(q.unit, g)
+
+
+@pytest.mark.parametrize("q", ALL, ids=lambda q: q.name)
+@given(data=st.data())
+def test_tensor_is_monotone_in_each_argument(q, data):
+    """The narrow layouts let a running max pass through the tensor."""
+    a, b, c = (data.draw(_grades_of(q)) for _ in range(3))
+    lo, hi = min(a, b), max(a, b)
+    assert q.tensor(lo, c) <= q.tensor(hi, c)
+    assert q.tensor(c, lo) <= q.tensor(c, hi)
+
+
+@pytest.mark.parametrize("q", ALL, ids=lambda q: q.name)
+@given(data=st.data())
+def test_tensor_bottom_absorbs(q, data):
+    g = data.draw(_grades_of(q))
+    assert q.tensor(g, q.bottom) == q.bottom == q.tensor(q.bottom, g)
+
+
 @given(grades, grades)
 def test_godel_tensor_is_meet(a, b):
     assert qr.GODEL.tensor(a, b) == min(a, b)
