@@ -43,7 +43,7 @@ class GradeLattice:
         values = sorted({float(g) for g in grades})
         if not values or values[0] != 0.0 or values[-1] != 1.0:
             raise QuantrelError("grade lattice must contain 0 and 1")
-        if any(g < 0.0 or g > 1.0 for g in values):
+        if any(not 0.0 <= g <= 1.0 for g in values):  # NaN too
             raise QuantrelError("grade lattice values must lie in [0, 1]")
         self.grades = tuple(values)
 
@@ -63,9 +63,6 @@ class GradeLattice:
         return f"GradeLattice({list(self.grades)})"
 
 
-BOOLEAN_LATTICE = GradeLattice((0.0, 1.0))
-
-
 class PowersetObject:
     """All graded subsets of a universe, enumerated deterministically.
 
@@ -76,12 +73,12 @@ class PowersetObject:
 
     __slots__ = ("universe", "lattice", "index")
 
-    def __init__(self, universe: IndexSet, lattice: GradeLattice,
-                 guard: int = ENUMERATION_GUARD):
+    def __init__(self, universe: IndexSet, lattice: GradeLattice):
         size = len(lattice) ** len(universe)
-        if size > guard:
+        if size > ENUMERATION_GUARD:
             raise EnumerationLimitError(
-                f"powerset object of {size} subsets exceeds the guard of {guard}")
+                f"powerset object of {size} subsets exceeds the guard of "
+                f"{ENUMERATION_GUARD}")
         self.universe = universe
         self.lattice = lattice
         enumeration = tuple(itertools.product(lattice.grades,

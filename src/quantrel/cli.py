@@ -88,9 +88,8 @@ def _law_lines(name: str, report) -> List[str]:
 
 def cmd_laws(args) -> int:
     quantale = by_name(args.quantale)
-    grades = GradeLattice([float(g) for g in args.grades.split(",")])
     universe = IndexSet([f"u{i + 1}" for i in range(args.universe_size)])
-    obj = PowersetObject(universe, grades)
+    obj = PowersetObject(universe, args.grades)
     # Run every law before printing, so a size guard leaves no partial report.
     lines: List[str] = []
     left, right = snake_identities(obj.index, quantale)
@@ -107,7 +106,7 @@ def cmd_laws(args) -> int:
     ok = all(line.endswith("pass") for line in lines)
     print(f"quantale: {quantale.name}")
     print(f"universe_size: {len(universe)}")
-    print(f"grades: {','.join(f'{g:g}' for g in grades)}")
+    print(f"grades: {','.join(f'{g:g}' for g in args.grades)}")
     print(f"object_size: {len(obj)}")
     for line in lines:
         print(line)
@@ -192,6 +191,19 @@ def cmd_oracle(args) -> int:
     return 0 if ok else 1
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return int(text)
+
+
+def _grade_lattice(text: str) -> GradeLattice:
+    try:
+        return GradeLattice([float(g) for g in text.split(",")])
+    except (ValueError, QuantrelError) as exc:
+        raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quantrel",
@@ -211,14 +223,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_laws = sub.add_parser("laws", help="check snake, bialgebra and (co)monoid laws")
     p_laws.add_argument("--quantale", default="godel")
-    p_laws.add_argument("--universe-size", type=int, default=2)
-    p_laws.add_argument("--grades", default="0,1")
+    p_laws.add_argument("--universe-size", type=_positive_int, default=2)
+    p_laws.add_argument("--grades", type=_grade_lattice, default="0,1")
     p_laws.add_argument("--seed", type=int, default=0)
     p_laws.set_defaults(func=cmd_laws)
 
     p_oracle = sub.add_parser("oracle", help="random-model equivalence sweep")
     p_oracle.add_argument("lexicon")
-    p_oracle.add_argument("--trials", type=int, default=100)
+    p_oracle.add_argument("--trials", type=_positive_int, default=100)
     p_oracle.add_argument("--seed", type=int, default=0)
     p_oracle.add_argument("--mode", default="restricted",
                           choices=("restricted", "exhaustive"))

@@ -75,21 +75,20 @@ class FuzzySet:
 class FuzzyRelation:
     """Graded binary relation over one universe; unlisted pairs grade 0.
 
-    `pairs` maps each (a, b) with a positive grade to that grade.  `rows`
-    holds the same entries by position: rows[i] lists (j, grade) for
-    every pair from the i-th universe element to the j-th, so an image
-    reads only the rows of the elements it starts from.  Both are built
-    in the one loop that checks every given pair: it must lie inside the
-    universe and its grade in [0, 1].  Zero grades are dropped.
+    It stores only `rows`, by position: rows[i] lists (j, grade) for
+    every pair from the i-th universe element to the j-th with a
+    positive grade, so an image reads only the rows of the elements it
+    starts from.  The constructor checks every given pair: it must lie
+    inside the universe and its grade in [0, 1].  Zero grades are
+    dropped.
     """
 
-    __slots__ = ("universe", "pairs", "rows")
+    __slots__ = ("universe", "rows")
 
     def __init__(self, universe: IndexSet, pairs: Mapping[Tuple[object, object], float]):
         self.universe = universe
         pos = {u: i for i, u in enumerate(universe.elements)}
         rows = tuple([] for _ in pos)
-        cleaned = {}
         for (a, b), g in pairs.items():
             try:
                 i, j = pos[a], pos[b]
@@ -97,9 +96,7 @@ class FuzzyRelation:
                 raise ShapeMismatchError(f"pair {(a, b)!r} outside the universe") from None
             g = _check_grade(g)
             if g > 0.0:
-                cleaned[(a, b)] = g
                 rows[i].append((j, g))
-        self.pairs = cleaned
         self.rows = rows
 
     @classmethod
@@ -108,18 +105,26 @@ class FuzzyRelation:
             raise ShapeMismatchError("verb relations live over a single universe")
         return cls(rel.source, {pair: 1.0 for pair in rel.pairs})
 
+    @property
+    def pairs(self) -> Dict[Tuple[object, object], float]:
+        """A new {(a, b): grade} dict of every positive pair, read off `rows`."""
+        labels = self.universe.elements
+        return {(labels[i], labels[j]): g
+                for i, row in enumerate(self.rows) for j, g in row}
+
     def grade(self, a, b) -> float:
-        return self.pairs.get((a, b), 0.0)
+        j = self.universe.position(b)
+        return next((g for k, g in self.rows[self.universe.position(a)] if k == j), 0.0)
 
     def is_crisp(self) -> bool:
-        return all(g == 1.0 for g in self.pairs.values())
+        return all(g == 1.0 for row in self.rows for _, g in row)
 
     def __eq__(self, other):
         return (isinstance(other, FuzzyRelation) and self.universe == other.universe
                 and self.pairs == other.pairs)
 
     def __repr__(self):
-        return f"FuzzyRelation({len(self.pairs)} graded pairs)"
+        return f"FuzzyRelation({sum(map(len, self.rows))} graded pairs)"
 
 
 def sigma_count(a: FuzzySet, threshold: float = 0.0) -> float:

@@ -22,8 +22,6 @@ from typing import FrozenSet, List, Tuple
 
 from .errors import AmbiguousParseError, ParseFailureError, UnknownWordError
 
-CATEGORIES = ("Det", "N", "NP", "V", "VP")
-
 
 @dataclass(frozen=True)
 class Token:

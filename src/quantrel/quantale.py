@@ -47,17 +47,11 @@ class Quantale:
         """Least upper bound of a finite family; empty family gives bottom."""
         return max(grades, default=self.bottom)
 
-    def is_grade(self, g) -> bool:
-        if isinstance(g, bool):
-            return True
-        if not isinstance(g, (int, float)):
-            return False
-        if not 0.0 <= g <= 1.0:
-            return False
-        return self.carrier != "boolean" or g in (0.0, 1.0)
-
     def validate(self, g) -> Grade:
-        if not self.is_grade(g):
+        """g as a float; QuantrelError unless it is a number in [0, 1],
+        and 0 or 1 on the Boolean carrier (bools are ints, so they pass)."""
+        if not (isinstance(g, (int, float)) and 0.0 <= g <= 1.0
+                and (self.carrier != "boolean" or g in (0.0, 1.0))):
             raise QuantrelError(f"{g!r} is not a grade of the {self.name} quantale")
         return float(g)
 

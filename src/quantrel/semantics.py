@@ -46,6 +46,7 @@ this is exact: values are the same bit for bit.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import Dict, List, Optional, Tuple, Union
@@ -108,7 +109,7 @@ class Model:
         for word, rel in self.verbs.items():
             if rel.universe != self.universe:
                 raise ShapeMismatchError(f"verb {word!r} is over a different universe")
-            for g in rel.pairs.values():
+            for _, g in itertools.chain.from_iterable(rel.rows):
                 if g not in self.grades:
                     raise QuantrelError(
                         f"grade {g:g} of verb {word!r} is outside the grade lattice")
@@ -198,11 +199,13 @@ class _Denotations:
         elif form == SentenceForm.QUANT_SUBJECT:
             # "d n v np": the transitive verb phrase plays the VP role;
             # its denotation x -> max_y min(v(x, y), obj(y)) is the image
-            # of the object under the converse pairs.
-            converse = FuzzyRelation(
-                self.verb.universe, {(y, x): g for (x, y), g in self.verb.pairs.items()})
+            # of the object under the converse rows.
+            converse = tuple([] for _ in self.verb.rows)
+            for x, row in enumerate(self.verb.rows):
+                for y, g in row:
+                    converse[y].append((x, g))
             self.vp = FuzzySet(self.obj.universe,
-                               image_grades(converse.rows, self.obj.grades))
+                               image_grades(converse, self.obj.grades))
 
     def fuzzy_sets(self):
         return [fs for fs in (self.subj, self.vp, self.obj) if fs is not None]

@@ -28,12 +28,14 @@ state I -> X x Y or an effect X x Y -> I by re-indexing its entries;
 they are the composites with eta and epsilon that the snake identities
 relate, computed without composing.
 
-Values are immutable after construction and safe to share across
-threads.
+Values are immutable after construction: no read writes a slot, so
+they are safe to share across threads.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .errors import EnumerationLimitError, ShapeMismatchError
@@ -45,69 +47,67 @@ STAR = "*"
 MAX_ENTRIES = 2_000_000
 
 
-def _slots(element, width: int) -> tuple:
-    return (element,) if width == 1 else element
-
-
 class IndexSet:
     """Ordered finite set of distinct labels indexing rows or columns.
 
-    Elements of an atomic set are arbitrary hashables.  Elements of a
-    product set are flat tuples holding one slot per atomic factor, in
-    row-major order; `width` counts those slots.  The unit set has one
-    element and width zero.
-
-    Product elements are materialized lazily: composition only needs
-    sizes and equality, and equality of products reduces to comparing
-    their sequences of atomic factors.
+    An atomic set stores its elements, arbitrary hashables, with their
+    positions.  A product set stores only `leaves`, the flat tuple of
+    atomic sets it is the product of.  Its elements are flat tuples
+    holding one element of each leaf, in row-major order, and a
+    position is a mixed-radix number over the leaf sizes; both are
+    computed on every call.  The unit set is the empty product: its
+    `leaves` are () and its one element is STAR.  An atomic set has no
+    leaves (None).
     """
 
-    __slots__ = ("width", "factors", "size", "_elements", "_pos")
+    __slots__ = ("leaves", "size", "_elements", "_pos")
 
-    def __init__(self, elements: Iterable, width: int = 1, factors=None):
-        self.width = width
-        self.factors = factors
-        if factors is None:
-            self._elements = tuple(elements)
-            self.size = len(self._elements)
-            self._build_pos()
-        else:
-            self._elements = None
-            self._pos = None
-            self.size = 1
-            for f in factors:
-                self.size *= f.size
-
-    def _build_pos(self):
+    def __init__(self, elements: Iterable):
+        self.leaves = None
+        self._elements = tuple(elements)
         self._pos = {el: i for i, el in enumerate(self._elements)}
         if len(self._pos) != len(self._elements):
             raise ShapeMismatchError("index set labels must be distinct")
+        self.size = len(self._elements)
 
     @classmethod
     def unit(cls) -> "IndexSet":
-        return cls((STAR,), width=0)
+        unit = cls((STAR,))
+        unit.leaves = ()
+        return unit
+
+    @classmethod
+    def _product(cls, leaves: tuple) -> "IndexSet":
+        product = cls.__new__(cls)
+        product.leaves = leaves
+        product.size = math.prod(leaf.size for leaf in leaves)
+        return product
 
     def is_unit(self) -> bool:
-        return self.width == 0
+        return self.leaves == ()
 
     @property
     def elements(self) -> tuple:
-        if self._elements is None:
-            a, b = self.factors
-            self._elements = tuple(
-                _slots(x, a.width) + _slots(y, b.width)
-                for x in a.elements for y in b.elements
-            )
-            self._build_pos()
+        if self.leaves:
+            return tuple(itertools.product(*(leaf._elements for leaf in self.leaves)))
         return self._elements
 
     def position(self, element) -> int:
-        self.elements
-        return self._pos[element]
+        """The element's position; KeyError for an element not in the set."""
+        if not self.leaves:
+            return self._pos[element]
+        if not isinstance(element, tuple) or len(element) != len(self.leaves):
+            raise KeyError(element)
+        p = 0
+        for leaf, x in zip(self.leaves, element):
+            p = p * leaf.size + leaf._pos[x]
+        return p
 
     def __contains__(self, element) -> bool:
-        self.elements
-        return element in self._pos
+        if not self.leaves:
+            return element in self._pos
+        return (isinstance(element, tuple) and len(element) == len(self.leaves)
+                and all(x in leaf._pos for leaf, x in zip(self.leaves, element)))
 
     def __len__(self) -> int:
         return self.size
@@ -115,41 +115,29 @@ class IndexSet:
     def __iter__(self):
         return iter(self.elements)
 
-    def leaves(self) -> tuple:
-        """The sequence of atomic index sets this set is a product of."""
-        if self.factors is None:
-            return (self,)
-        return tuple(leaf for f in self.factors for leaf in f.leaves())
-
     def __eq__(self, other) -> bool:
         if self is other:
             return True
-        if not isinstance(other, IndexSet):
+        if not isinstance(other, IndexSet) or self.size != other.size:
             return False
-        if self.width != other.width or self.size != other.size:
-            return False
-        mine, theirs = self.leaves(), other.leaves()
-        if len(mine) != len(theirs):
-            return False
-        return all(a is b or a._atoms_equal(b) for a, b in zip(mine, theirs))
-
-    def _atoms_equal(self, other: "IndexSet") -> bool:
-        return self.size == other.size and self.elements == other.elements
+        if self.leaves is None or other.leaves is None:
+            return self.leaves is other.leaves and self._elements == other._elements
+        return (len(self.leaves) == len(other.leaves)
+                and all(a == b for a, b in zip(self.leaves, other.leaves)))
 
     def __hash__(self):
-        return hash((self.width, self.size))
+        return hash(self.size)
 
     def tensor(self, other: "IndexSet") -> "IndexSet":
-        """Cartesian product, row-major, flattened to atomic slots."""
+        """Cartesian product, row-major, flattened to atomic leaves."""
         if self.is_unit():
             return other
         if other.is_unit():
             return self
-        return IndexSet((), width=self.width + other.width,
-                        factors=(self, other))
+        return IndexSet._product((self.leaves or (self,)) + (other.leaves or (other,)))
 
     def __repr__(self):
-        if self._elements is None:
+        if self.leaves:
             return f"IndexSet(product, size={self.size})"
         shown = ", ".join(repr(e) for e in self._elements[:4])
         if self.size > 4:
@@ -206,12 +194,14 @@ class VRel:
       one target position per source position, -1 for an empty row,
       with every related pair graded `q.unit`;
     * a tensor of two factor relations, kept lazy (see `tensor_rel`).
-      A tensor of two maps is a map too; its list is built only when
-      it is needed whole, and then kept.
+      A tensor of two maps is a map too.
+
+    No slot is written after construction: the entries, rows or target
+    list of any other form are computed when read and never stored.
     """
 
     __slots__ = ("source", "target", "quantale", "_entries", "_map",
-                 "_factors", "_rows")
+                 "_factors")
 
     def __init__(self, source: IndexSet, target: IndexSet, quantale: Quantale,
                  entries: Optional[Dict[Tuple[int, int], Grade]] = None,
@@ -225,7 +215,6 @@ class VRel:
         self._entries = entries
         self._map = index_map
         self._factors = factors
-        self._rows: Optional[Dict[int, List[Tuple[int, Grade]]]] = None
 
     # -- construction ------------------------------------------------
 
@@ -247,25 +236,18 @@ class VRel:
             return self._factors[0].is_map() and self._factors[1].is_map()
         return self._map is not None
 
-    def _index_map(self) -> List[int]:
-        """The whole list of a map; a tensor of maps builds it once."""
-        if self._map is None:
-            if len(self.source) > MAX_ENTRIES:
-                raise EnumerationLimitError(
-                    f"map of {len(self.source)} source positions exceeds the entry guard")
-            self._map = self._targets()
-        return self._map
-
     def _targets(self, positions: Optional[List[int]] = None) -> List[int]:
         """Target position of a map at each of `positions` (by default
         every source position, in order), -1 for an empty row or for a
-        position of -1.  A tensor reads its factors without building its
-        own list."""
+        position of -1.  A tensor reads its factors' targets."""
         if self._map is not None:
             m = self._map
             if positions is None:
                 return m
             return [m[i] if i >= 0 else -1 for i in positions]
+        if positions is None and len(self.source) > MAX_ENTRIES:
+            raise EnumerationLimitError(
+                f"map of {len(self.source)} source positions exceeds the entry guard")
         r, s = self._factors
         n_src2, n_tgt2 = len(s.source), len(s.target)
         if positions is None:
@@ -283,12 +265,10 @@ class VRel:
             m, e = self._map, self.quantale.unit
             return lambda i: ((m[i], e),) if m[i] >= 0 else ()
         if self._factors is None:
-            if self._rows is None:
-                rows: Dict[int, List[Tuple[int, Grade]]] = {}
-                for (a, b), g in self._entries.items():
-                    rows.setdefault(a, []).append((b, g))
-                self._rows = rows
-            return lambda i, rows=self._rows: rows.get(i, ())
+            rows: Dict[int, List[Tuple[int, Grade]]] = {}
+            for (a, b), g in self._entries.items():
+                rows.setdefault(a, []).append((b, g))
+            return lambda i: rows.get(i, ())
         r, s = self._factors
         row1, row2 = r._row_fn(), s._row_fn()
         n_src2, n_tgt2 = len(s.source), len(s.target)
@@ -311,7 +291,7 @@ class VRel:
             return self._entries
         if self.is_map():
             e = self.quantale.unit
-            entries = {(i, j): e for i, j in enumerate(self._index_map()) if j >= 0}
+            entries = {(i, j): e for i, j in enumerate(self._targets()) if j >= 0}
         else:
             row = self._row_fn()
             entries = {}
@@ -321,7 +301,6 @@ class VRel:
                 if len(entries) > MAX_ENTRIES:
                     raise EnumerationLimitError(
                         "relation materialization exceeds the entry guard")
-        self._entries = entries
         return entries
 
     def entry(self, a, b) -> Grade:
@@ -343,7 +322,7 @@ class VRel:
 
     def support(self) -> int:
         if self.is_map():
-            m = self._index_map()
+            m = self._targets()
             return len(m) - m.count(-1)
         return len(self.entries())
 
@@ -355,7 +334,7 @@ class VRel:
         if self.source != other.source or self.target != other.target:
             return False
         if tol == 0.0 and self.is_map() and other.is_map():
-            return self._index_map() == other._index_map()
+            return self._targets() == other._targets()
         a, b = self.entries(), other.entries()
         if tol == 0.0:
             return a == b
@@ -397,7 +376,7 @@ def compose(r: VRel, s: VRel) -> VRel:
     bottom = q.bottom
     acc: Dict[Tuple[int, int], Grade] = {}
     if r.is_map() and s.is_map():
-        return VRel(r.source, s.target, q, index_map=s._targets(r._index_map()))
+        return VRel(r.source, s.target, q, index_map=s._targets(r._targets()))
     if s.is_map():
         ent = r.entries()
         for ((i, _), g), j in zip(ent.items(), s._targets([k for _, k in ent])):

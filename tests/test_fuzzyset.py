@@ -117,6 +117,12 @@ def test_fuzzy_relation_rows_hold_exactly_the_pairs():
             assert len(rel.rows) == n
             assert sum(map(len, rel.rows)) == len(rel.pairs)
             assert _rows_as_pairs(rel) == rel.pairs
+            for x in u.elements:
+                for y in u.elements:
+                    assert rel.grade(x, y) == rel.pairs.get((x, y), 0.0)
+            # pairs is read off rows on every access, never kept
+            rel.pairs.clear()
+            assert _rows_as_pairs(rel) == rel.pairs
 
 
 def test_verb_image_against_max_over_all_pairs():

@@ -239,3 +239,22 @@ def test_cli_laws_guard_fires_before_any_output():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "error:" in proc.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ("laws", "--grades", "0,abc"),
+    ("laws", "--grades", "0.5,1"),
+    ("laws", "--grades", "nan,0,1"),
+    ("laws", "--universe-size", "-3"),
+    ("laws", "--universe-size", "0"),
+    ("oracle", str(LEXICON_DIR / "crisp.json"), "--trials", "0"),
+    ("oracle", str(LEXICON_DIR / "crisp.json"), "--trials", "-5"),
+], ids=lambda args: " ".join(args[:1] + args[-2:]))
+def test_cli_rejects_malformed_arguments_with_usage_error(args):
+    """A malformed or out-of-range option is unreadable input: a usage
+    error on stderr, nothing on stdout, exit 2, and no check runs."""
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "usage:" in proc.stderr and "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr

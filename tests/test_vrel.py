@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -348,3 +349,88 @@ def test_product_set_row_major_order():
     nested_right = a.tensor(b.tensor(a))
     assert nested_left == nested_right
     assert nested_left.elements == nested_right.elements
+
+
+def test_product_positions_match_enumeration():
+    """A product's elements, positions and membership are mixed-radix
+    arithmetic over its leaves; they match a brute-force enumeration,
+    whatever the nesting and wherever the unit is absorbed."""
+    rng = random.Random(31)
+    unit = qr.IndexSet.unit()
+    for _ in range(60):
+        atoms = _sets(*(rng.randint(1, 4) for _ in range(rng.randint(2, 4))))
+        factors = list(atoms)
+        for _ in range(rng.randint(0, 2)):
+            factors.insert(rng.randint(0, len(factors)), unit)
+        left = right = unit
+        for f in factors:
+            left = left.tensor(f)
+        for f in reversed(factors):
+            right = f.tensor(right)
+        expected = list(itertools.product(*(a.elements for a in atoms)))
+        for p in (left, right):
+            assert p == left and len(p) == len(expected)
+            assert p.elements == tuple(expected)
+            for k, element in enumerate(expected):
+                assert p.position(element) == k and element in p
+            foreign = [expected[0][:-1], expected[0] + expected[0][-1:],
+                       ("nope",) + expected[0][1:], "".join(expected[0]), None]
+            for element in foreign:
+                assert element not in p
+                with pytest.raises(KeyError):
+                    p.position(element)
+        a, b, c = atoms[0], atoms[1], atoms[-1]
+        assert a.tensor(b).tensor(c) == a.tensor(b.tensor(c))
+
+
+def _slot_snapshot(value):
+    """(object, slot, held object) for every slot of value and of every
+    relation or index set reachable through its slots."""
+    snapshot, todo, seen = [], [value], set()
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        for slot in type(obj).__slots__:
+            held = getattr(obj, slot, None)
+            snapshot.append((obj, slot, held))
+            parts = held if isinstance(held, tuple) else (held,)
+            todo.extend(x for x in parts if isinstance(x, (qr.VRel, qr.IndexSet)))
+    return snapshot
+
+
+@pytest.mark.parametrize("q", ALL, ids=lambda q: q.name)
+def test_reads_write_no_slot(q):
+    """Reading a relation or an index set stores nothing: after entries,
+    support, equal, scalar, compose on either side, position and `in`,
+    every slot holds the very object it held before."""
+    rng = random.Random(37)
+    a, b, c = _sets(2, 3, 2)
+    one = qr.IndexSet.unit()
+    stored = _random_vrel(a, b, q, rng)
+    index_map = _random_map(a, b, q, rng)
+    maps = qr.tensor_rel(qr.swap(a, c, q), qr.identity(b, q))
+    mixed = qr.tensor_rel(_random_vrel(c, c, q, rng), index_map)
+    product = a.tensor(b).tensor(c)
+    values = (stored, index_map, maps, mixed, product)
+    before = [_slot_snapshot(v) for v in values]
+    for r in values[:-1]:
+        r.entries()
+        r.support()
+        r.equal(r)
+        r.equal(_stored(r), tol=1e-9)
+        state = _random_vrel(one, r.source, q, rng, density=1.0)
+        effect = _random_vrel(r.target, one, q, rng, density=1.0)
+        qr.compose(qr.compose(state, r), effect).scalar()
+        qr.compose(state, qr.compose(r, effect)).scalar()
+        qr.compose(qr.identity(r.source, q), r)
+        qr.compose(r, qr.identity(r.target, q))
+    for s in (product, maps.source, mixed.target):
+        for element in s.elements:
+            assert s.position(element) >= 0 and element in s
+    for v, snapshot in zip(values, before):
+        assert [(o, slot) for o, slot, _ in snapshot] == \
+            [(o, slot) for o, slot, _ in _slot_snapshot(v)]
+        for obj, slot, held in snapshot:
+            assert getattr(obj, slot, None) is held, (v, slot)
