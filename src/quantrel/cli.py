@@ -3,7 +3,7 @@
     quantrel eval LEXICON "sentence" [--method ...] [--mode ...]
     quantrel eval LEXICON --sentences-file FILE
     quantrel laws [--quantale ...] [--universe-size N] [--grades ...]
-    quantrel oracle LEXICON [--trials N] [--seed N] [--mode ...]
+    quantrel oracle LEXICON [--trials N] [--seed N]
 
 Every report line is a stable "key: value" pair; grades print with nine
 decimal places.  Exit codes: 0 success, 1 parse or evaluation failure,
@@ -143,7 +143,6 @@ def cmd_oracle(args) -> int:
     print(f"lexicon: {args.lexicon}")
     print(f"trials: {args.trials}")
     print(f"seed: {args.seed}")
-    print(f"mode: {args.mode}")
 
     graded = graded_determiners(template)
     crisp = crisp_determiners(template)
@@ -156,7 +155,7 @@ def cmd_oracle(args) -> int:
             model = randomize_model(template, rng)
             form = forms[trial % len(forms)]
             sentence = sample_sentence(model, form, rng, graded)
-            report = degree_of_truth(sentence, model, method="both", mode=args.mode)
+            report = degree_of_truth(sentence, model, method="both")
             if report.diff > max_dev:
                 max_dev = report.diff
                 if report.diff > DEVIATION_TOLERANCE and counterexample is None:
@@ -171,7 +170,7 @@ def cmd_oracle(args) -> int:
             tokens = tokenize(sentence, model)
             tree = parse_sentence(tokens)
             truth = eval_crisp_truth(tree, model)
-            value = eval_categorical(tree, model, mode=args.mode)
+            value = eval_categorical(tree, model)
             if (value == 1.0) != truth:
                 mismatches += 1
                 if counterexample is None:
@@ -185,8 +184,7 @@ def cmd_oracle(args) -> int:
         print(f"counterexample.sentence: {sentence}")
         print(f"counterexample.lexicon: {json.dumps(dump_lexicon(model), sort_keys=True)}")
 
-    gated = args.mode == "restricted"
-    ok = (not gated) or (max_dev <= DEVIATION_TOLERANCE and mismatches == 0)
+    ok = max_dev <= DEVIATION_TOLERANCE and mismatches == 0
     print(f"result: {'pass' if ok else 'fail'}")
     return 0 if ok else 1
 
@@ -232,8 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("lexicon")
     p_oracle.add_argument("--trials", type=_positive_int, default=100)
     p_oracle.add_argument("--seed", type=int, default=0)
-    p_oracle.add_argument("--mode", default="restricted",
-                          choices=("restricted", "exhaustive"))
     p_oracle.set_defaults(func=cmd_oracle)
     return parser
 

@@ -75,12 +75,12 @@ class FuzzySet:
 class FuzzyRelation:
     """Graded binary relation over one universe; unlisted pairs grade 0.
 
-    It stores only `rows`, by position: rows[i] lists (j, grade) for
-    every pair from the i-th universe element to the j-th with a
-    positive grade, so an image reads only the rows of the elements it
-    starts from.  The constructor checks every given pair: it must lie
-    inside the universe and its grade in [0, 1].  Zero grades are
-    dropped.
+    It stores only `rows`, by position, as a tuple of tuples: rows[i]
+    holds (j, grade) for every pair from the i-th universe element to
+    the j-th with a positive grade, so an image reads only the rows of
+    the elements it starts from.  The constructor checks every given
+    pair: it must lie inside the universe and its grade in [0, 1].
+    Zero grades are dropped.
     """
 
     __slots__ = ("universe", "rows")
@@ -97,7 +97,7 @@ class FuzzyRelation:
             g = _check_grade(g)
             if g > 0.0:
                 rows[i].append((j, g))
-        self.rows = rows
+        self.rows = tuple(map(tuple, rows))
 
     @classmethod
     def from_crisp(cls, rel: CrispRel) -> "FuzzyRelation":

@@ -120,7 +120,11 @@ def _parse_quantifier(name: str, desc: dict):
     if kind in ("every", "some", "no"):
         return CrispQuantifier(kind)
     if kind == "exactly":
-        return CrispQuantifier("exactly", int(desc["n"]))
+        n = desc.get("n")
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise LexiconFormatError(
+                f"quantifier {name!r}: exactly needs an integer count n, got {n!r}")
+        return CrispQuantifier("exactly", n)
     raise LexiconFormatError(f"quantifier {name!r}: unknown kind {kind!r}")
 
 

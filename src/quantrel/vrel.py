@@ -10,13 +10,14 @@ The monoidal structure is strict: the unit index set is absorbed by
 products, and nested products are flattened, so no unitor or associator
 bookkeeping is ever needed.
 
-A relation takes one of three forms.  Most store their entries.  The
+A relation takes one of two forms.  Most store their entries.  The
 structural generators that are functions (identity and swap here,
 delta, mu, iota and zeta in `bialgebra`) are index maps: one target
 position, or none, per source position, always with the unit grade.  A
-tensor product keeps its two factors and reads their rows, or their
-targets when both are maps, on demand.  Composition of two maps is
-list indexing, and a graded relation passes through a map on its right
+map is given as a list of targets, or as a tensor of two maps that
+keeps its factors and reads their targets on demand; a tensor with a
+graded factor stores its entries.  Composition of two maps is list
+indexing, and a graded relation passes through a map on its right
 unchanged.  That keeps composites like (mu x mu) o (id x swap x id) o
 (delta x delta) linear in the size of their small end rather than in
 the size of the huge middle object.
@@ -36,7 +37,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .errors import EnumerationLimitError, ShapeMismatchError
 from .quantale import Grade, Quantale
@@ -180,24 +182,22 @@ class CrispRel:
         return hash((self.source, self.target, self.pairs))
 
 
-RowFn = Callable[[int], Iterable[Tuple[int, Grade]]]
-
-
 class VRel:
     """A many-valued relation; a sparse grade matrix source -> target.
 
-    It takes one of three forms, fixed at construction:
+    It takes one of two forms, fixed at construction:
 
     * stored entries: a {(source position, target position): grade}
       dict without bottom grades;
-    * an index map: the relation of a partial function, a list holding
-      one target position per source position, -1 for an empty row,
-      with every related pair graded `q.unit`;
-    * a tensor of two factor relations, kept lazy (see `tensor_rel`).
-      A tensor of two maps is a map too.
+    * an index map: the relation of a partial function, with every
+      related pair graded `q.unit`.  It is given either as a list
+      holding one target position per source position, -1 for an
+      empty row, or as `factors`, a pair of maps whose tensor it is
+      (see `tensor_rel`).
 
-    No slot is written after construction: the entries, rows or target
-    list of any other form are computed when read and never stored.
+    No slot is written after construction: the entries of a map and the
+    target list of a tensor of maps are computed when read and never
+    stored.
     """
 
     __slots__ = ("source", "target", "quantale", "_entries", "_map",
@@ -209,6 +209,8 @@ class VRel:
                  factors: Optional[Tuple["VRel", "VRel"]] = None):
         if sum(form is not None for form in (entries, index_map, factors)) != 1:
             raise ValueError("exactly one of entries/index_map/factors must be given")
+        if factors is not None and not (factors[0].is_map() and factors[1].is_map()):
+            raise ValueError("factors must both be index maps")
         self.source = source
         self.target = target
         self.quantale = quantale
@@ -231,10 +233,8 @@ class VRel:
     # -- access ------------------------------------------------------
 
     def is_map(self) -> bool:
-        """Whether this is an index map or a tensor of index maps."""
-        if self._factors is not None:
-            return self._factors[0].is_map() and self._factors[1].is_map()
-        return self._map is not None
+        """Whether this is an index map (a list or a tensor of maps)."""
+        return self._entries is None
 
     def _targets(self, positions: Optional[List[int]] = None) -> List[int]:
         """Target position of a map at each of `positions` (by default
@@ -259,49 +259,13 @@ class VRel:
         return [-1 if j1 < 0 or j2 < 0 else j1 * n_tgt2 + j2
                 for j1, j2 in zip(js1, js2)]
 
-    def _row_fn(self) -> RowFn:
-        """Source position -> its (target position, grade) entries."""
-        if self._map is not None:
-            m, e = self._map, self.quantale.unit
-            return lambda i: ((m[i], e),) if m[i] >= 0 else ()
-        if self._factors is None:
-            rows: Dict[int, List[Tuple[int, Grade]]] = {}
-            for (a, b), g in self._entries.items():
-                rows.setdefault(a, []).append((b, g))
-            return lambda i: rows.get(i, ())
-        r, s = self._factors
-        row1, row2 = r._row_fn(), s._row_fn()
-        n_src2, n_tgt2 = len(s.source), len(s.target)
-        tensor, bottom = self.quantale.tensor, self.quantale.bottom
-
-        def row(i: int):
-            i1, i2 = divmod(i, n_src2)
-            out = []
-            for j1, g1 in row1(i1):
-                for j2, g2 in row2(i2):
-                    g = tensor(g1, g2)
-                    if g != bottom:
-                        out.append((j1 * n_tgt2 + j2, g))
-            return out
-
-        return row
-
-    def entries(self) -> Dict[Tuple[int, int], Grade]:
+    def entries(self) -> Mapping[Tuple[int, int], Grade]:
+        """Read-only {(source position, target position): grade} view."""
         if self._entries is not None:
-            return self._entries
-        if self.is_map():
-            e = self.quantale.unit
-            entries = {(i, j): e for i, j in enumerate(self._targets()) if j >= 0}
-        else:
-            row = self._row_fn()
-            entries = {}
-            for i in range(len(self.source)):
-                for j, g in row(i):
-                    entries[(i, j)] = g
-                if len(entries) > MAX_ENTRIES:
-                    raise EnumerationLimitError(
-                        "relation materialization exceeds the entry guard")
-        return entries
+            return MappingProxyType(self._entries)
+        e = self.quantale.unit
+        return MappingProxyType({(i, j): e for i, j in enumerate(self._targets())
+                                 if j >= 0})
 
     def entry(self, a, b) -> Grade:
         """Grade at an element pair (bottom when absent)."""
@@ -378,7 +342,7 @@ def compose(r: VRel, s: VRel) -> VRel:
     if r.is_map() and s.is_map():
         return VRel(r.source, s.target, q, index_map=s._targets(r._targets()))
     if s.is_map():
-        ent = r.entries()
+        ent = r._entries
         for ((i, _), g), j in zip(ent.items(), s._targets([k for _, k in ent])):
             if j < 0 or g == bottom:
                 continue
@@ -388,9 +352,11 @@ def compose(r: VRel, s: VRel) -> VRel:
                 acc[key] = g
         return VRel(r.source, s.target, q, entries=acc)
     tensor = q.tensor
-    row = s._row_fn()
+    rows: Dict[int, List[Tuple[int, Grade]]] = {}
+    for (k, j), g in s._entries.items():
+        rows.setdefault(k, []).append((j, g))
     for (i, k), g1 in r.entries().items():
-        for j, g2 in row(k):
+        for j, g2 in rows.get(k, ()):
             v = tensor(g1, g2)
             if v == bottom:
                 continue
@@ -409,17 +375,34 @@ def identity(a: IndexSet, q: Quantale) -> VRel:
 
 
 def tensor_rel(r: VRel, s: VRel) -> VRel:
-    """Parallel composition over product index sets.
+    """Parallel composition over product index sets, row-major: entry
+    ((i1, i2), (j1, j2)) is tensor(r(i1, j1), s(i2, j2)).
 
-    The only lazy relation: it keeps its two factors, and the rows (or,
-    for two maps, the targets) of the big product are read from theirs
-    only when composition asks for them.
+    A tensor of two maps is a map that keeps its factors and reads their
+    targets when composition asks for them, since the law checkers' big
+    middle objects are tensors of maps.  Any other tensor stores its
+    entries.
     """
     if r.quantale is not s.quantale:
         raise ShapeMismatchError(
             f"cannot tensor over {r.quantale.name} and {s.quantale.name}")
-    return VRel(r.source.tensor(s.source), r.target.tensor(s.target),
-                r.quantale, factors=(r, s))
+    q = r.quantale
+    source, target = r.source.tensor(s.source), r.target.tensor(s.target)
+    if r.is_map() and s.is_map():
+        return VRel(source, target, q, factors=(r, s))
+    a, b = r.entries(), s.entries()
+    if len(a) * len(b) > MAX_ENTRIES:
+        raise EnumerationLimitError(
+            f"tensor of {len(a)} by {len(b)} entries exceeds the entry guard")
+    n_src2, n_tgt2 = len(s.source), len(s.target)
+    tensor, bottom = q.tensor, q.bottom
+    entries = {}
+    for (i1, j1), g1 in a.items():
+        for (i2, j2), g2 in b.items():
+            g = tensor(g1, g2)
+            if g != bottom:
+                entries[(i1 * n_src2 + i2, j1 * n_tgt2 + j2)] = g
+    return VRel(source, target, q, entries=entries)
 
 
 def epsilon(s: IndexSet, q: Quantale) -> VRel:
@@ -475,8 +458,9 @@ def include(r: CrispRel, q: Quantale) -> VRel:
     return VRel(r.source, r.target, q, entries=entries)
 
 
-# The snake composites themselves are cheap: 16 ms at n = 64 and 0.7 s
-# at n = 512 (Python 3.11, 2 vCPUs).  The cap bounds the object that
+# The snake composites themselves are cheap: 15 ms at n = 64 and 1.7 s
+# at n = 512 (Python 3.11, 2 vCPUs), most of it storing the n^2 entries
+# of each tensor with a cup or a cap.  The cap bounds the object that
 # `quantrel laws` checks: there `check_monoid` composes maps of n^3
 # positions, 0.1 s and 32 MB at 64 subsets and 0.3 s and 48 MB at 81;
 # at 243 the entry guard refuses its first n^3 map before building it.

@@ -94,8 +94,8 @@ def test_fuzzy_relation_drops_zero_grades_and_indexes_rows():
                                 ("c2", "c2"): 0, ("c3", "c1"): 1,
                                 ("c3", "c3"): 0.25})
     assert rel.pairs == {("c1", "c3"): 0.8, ("c3", "c1"): 1.0, ("c3", "c3"): 0.25}
-    assert rel.rows == ([(2, 0.8)], [], [(0, 1.0), (2, 0.25)])
-    assert qr.FuzzyRelation(U3, {("c2", "c2"): 0.0}).rows == ([], [], [])
+    assert rel.rows == (((2, 0.8),), (), ((0, 1.0), (2, 0.25)))
+    assert qr.FuzzyRelation(U3, {("c2", "c2"): 0.0}).rows == ((), (), ())
 
 
 def _rows_as_pairs(rel):

@@ -131,6 +131,39 @@ def test_tensor_of_lifted_crisp_is_lift_of_product():
         assert got == product_pairs
 
 
+@pytest.mark.parametrize("q", ALL, ids=lambda q: q.name)
+def test_tensor_stores_unless_both_factors_are_maps(q):
+    """Only a tensor of two maps stays lazy; one with a stored factor
+    stores the product's entries, and a lazy tensor of a stored factor
+    cannot be built.  The product guard refuses before any entry."""
+    rng = random.Random(9)
+    a, b, c = _sets(2, 3, 2)
+    graded = _random_vrel(a, b, q, rng, density=1.0)
+    index_map = qr.swap(c, a, q)
+    maps = qr.tensor_rel(index_map, qr.identity(b, q))
+    assert maps.is_map() and maps._factors is not None
+    assert not hasattr(qr.VRel, "_row_fn")
+    for r, s in ((graded, index_map), (index_map, graded), (graded, graded),
+                 (maps, graded), (graded, _stored(maps))):
+        product = qr.tensor_rel(r, s)
+        assert not product.is_map()
+        want = {(i1 * len(s.source) + i2, j1 * len(s.target) + j2): q.tensor(g1, g2)
+                for (i1, j1), g1 in r.entries().items()
+                for (i2, j2), g2 in s.entries().items()}
+        assert product.entries() == {k: g for k, g in want.items() if g != q.bottom}
+        for pair in ((r, s), (s, r)):
+            if not (pair[0].is_map() and pair[1].is_map()):
+                with pytest.raises(ValueError):
+                    qr.VRel(product.source, product.target, q, factors=pair)
+    calls = []
+    counting = qr.Quantale("counting", lambda x, y: calls.append((x, y)) or min(x, y))
+    big = qr.IndexSet(range(2_000))
+    diagonal = qr.VRel(big, big, counting, entries={(i, i): 0.5 for i in range(2_000)})
+    with pytest.raises(qr.EnumerationLimitError):
+        qr.tensor_rel(diagonal, diagonal)
+    assert calls == []
+
+
 def test_interchange_law():
     rng = random.Random(5)
     for q in ALL:
@@ -434,3 +467,27 @@ def test_reads_write_no_slot(q):
             [(o, slot) for o, slot, _ in _slot_snapshot(v)]
         for obj, slot, held in snapshot:
             assert getattr(obj, slot, None) is held, (v, slot)
+
+
+@pytest.mark.parametrize("q", ALL, ids=lambda q: q.name)
+def test_reads_refuse_writes(q):
+    """The entries a relation hands out and the rows of a fuzzy relation
+    are read-only: writing to them raises and leaves the value whole."""
+    one = qr.IndexSet.unit()
+    r = qr.VRel.from_dict(one, one, q, {("*", "*"): 1.0})
+    index_map = qr.identity(_sets(2)[0], q)
+    for rel in (r, index_map):
+        before = dict(rel.entries())
+        with pytest.raises(TypeError):
+            rel.entries()[(0, 0)] = 0.5
+        with pytest.raises(TypeError):
+            del rel.entries()[(0, 0)]
+        assert rel.entries() == before
+    assert r.scalar() == 1.0
+    u = qr.IndexSet(["a", "b"])
+    verb = qr.FuzzyRelation(u, {("a", "b"): 0.5})
+    with pytest.raises(AttributeError):
+        verb.rows[0].append((1, 3.0))
+    with pytest.raises(TypeError):
+        verb.rows[1] = ((0, 3.0),)
+    assert verb.rows == (((1, 0.5),), ()) and verb.pairs == {("a", "b"): 0.5}
