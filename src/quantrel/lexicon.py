@@ -1,6 +1,8 @@
 """JSON lexicon files.
 
-Schema (all membership grades are decimals in [0, 1]):
+Schema (all membership grades are decimals in [0, 1]; every grade,
+threshold and breakpoint coordinate is a JSON number, never a string
+or true/false):
 
     {
       "universe":  ["u1", "u2", ...],
@@ -57,6 +59,14 @@ def load_lexicon(source: Union[str, Path, dict]) -> Model:
         raise LexiconFormatError(str(exc)) from exc
 
 
+def _number(value, what: str) -> float:
+    """A JSON number that is not a bool, as a float; anything else, a
+    string or true/false included, is a LexiconFormatError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise LexiconFormatError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def _grades_in(data: dict):
     for group in _SET_GROUPS:
         for mapping in data.get(group, {}).values():
@@ -75,15 +85,15 @@ def _build_model(data: dict) -> Model:
     universe = IndexSet(labels)
 
     for g in _grades_in(data):
-        if not isinstance(g, (int, float)) or not 0.0 <= float(g) <= 1.0:
+        if not 0.0 <= _number(g, "grade") <= 1.0:
             raise LexiconFormatError(f"grade {g!r} outside [0, 1]")
 
     quantale = by_name(str(data.get("quantale", "godel")))
     if "grades" in data:
-        grades = GradeLattice(data["grades"])
+        grades = GradeLattice([_number(g, "lattice grade") for g in data["grades"]])
     else:
         grades = GradeLattice({0.0, 1.0} | {float(g) for g in _grades_in(data)})
-    threshold = float(data.get("threshold", 0.0))
+    threshold = _number(data.get("threshold", 0.0), "threshold")
     if not 0.0 <= threshold <= 1.0:
         raise LexiconFormatError("threshold must lie in [0, 1]")
 
@@ -116,7 +126,9 @@ def _parse_quantifier(name: str, desc: dict):
         bps = desc.get("breakpoints")
         if not bps:
             raise LexiconFormatError(f"quantifier {name!r}: fuzzy kind needs breakpoints")
-        return FuzzyQuantifier(name, tuple((float(p), float(v)) for p, v in bps))
+        what = f"quantifier {name!r}: breakpoint coordinate"
+        return FuzzyQuantifier(name, tuple((_number(p, what), _number(v, what))
+                                           for p, v in bps))
     if kind in ("every", "some", "no"):
         return CrispQuantifier(kind)
     if kind == "exactly":

@@ -102,6 +102,46 @@ def test_check_monoid_refuses_a_large_object_before_building_it():
         qr.check_monoid(p, qr.GODEL)
 
 
+def _associativity_sides(s, q, targets):
+    """(mu x id) ; mu and (id x mu) ; mu for the merge map with these
+    targets, by compose and by a loop over every (a, b, c)."""
+    n, e = len(s), q.unit
+    m = qr.VRel(s.tensor(s), s, q, index_map=targets)
+    one = qr.identity(s, q)
+    composites = (qr.compose(qr.tensor_rel(m, one), m),
+                  qr.compose(qr.tensor_rel(one, m), m))
+    left, right = {}, {}
+    for a, b, c in itertools.product(range(n), repeat=3):
+        i = (a * n + b) * n + c
+        ab, bc = targets[a * n + b], targets[b * n + c]
+        if ab >= 0 and targets[ab * n + c] >= 0:
+            left[(i, targets[ab * n + c])] = e
+        if bc >= 0 and targets[a * n + bc] >= 0:
+            right[(i, targets[a * n + bc])] = e
+    return composites, (left, right)
+
+
+@pytest.mark.parametrize("q", ALL, ids=lambda q: q.name)
+def test_associativity_composites_match_brute_force_and_can_fail(q):
+    """At 27 subsets both sides of the associativity law equal their
+    loops, for mu and for two broken copies of it: one with the row
+    (full, full) moved to the empty subset, one with that row emptied.
+    The broken copies make the two sides differ, so the law can fail."""
+    s = qr.PowersetObject(_universe(3), THREE_G).index
+    n = len(s)
+    targets = [-1] * (n * n)
+    for i, j in qr.mu(s, s, s, q).entries():
+        targets[i] = j
+    assert -1 not in targets
+    full = n * n - 1
+    moved, emptied = list(targets), list(targets)
+    moved[full], emptied[full] = 0, -1
+    for t, law_holds in ((targets, True), (moved, False), (emptied, False)):
+        (left, right), (brute_left, brute_right) = _associativity_sides(s, q, t)
+        assert left.entries() == brute_left and right.entries() == brute_right
+        assert left.equal(right) is law_holds
+
+
 def test_generators_are_inclusion_images_for_boolean_lattice():
     """With the crisp lattice every structural map equals the lifted
     crisp relation defined by the same condition."""

@@ -63,6 +63,38 @@ def test_rejects_bad_quantifier_and_duplicate_universe():
         qr.load_lexicon(data)
 
 
+def _set_breakpoints(bps):
+    return lambda d: d["quantifiers"]["several"].update(breakpoints=bps)
+
+
+def _set_verb_grade(g):
+    return lambda d: d["verbs"]["see"][1].__setitem__(2, g)
+
+
+@pytest.mark.parametrize("edit", [
+    _set_breakpoints([["0", False], [0.4, True], ["1", 0]]),
+    _set_breakpoints([[0, False], [0.4, 1], [1, 0]]),
+    _set_breakpoints([[0, 0], [0.4, True], [1, 0]]),
+    lambda d: d["nouns"]["men"].update(a=True),
+    _set_verb_grade(True),
+    _set_verb_grade("0.5"),
+    lambda d: d.update(threshold="0.3"),
+    lambda d: d.update(threshold=True),
+    lambda d: d.update(grades=["0", 0.5, "1"]),
+    lambda d: d.update(grades=[False, 0.5, True]),
+], ids=["breakpoint-strings-and-bools", "breakpoint-false", "breakpoint-true",
+        "noun-grade-true", "verb-grade-true", "verb-grade-string",
+        "threshold-string", "threshold-true", "lattice-strings", "lattice-bools"])
+def test_rejects_numbers_given_as_strings_or_bools(edit):
+    """small.json loads as shipped; each edit puts a string or a bool
+    where the schema wants a number, and none is coerced."""
+    data = json.loads((LEXICON_DIR / "small.json").read_text())
+    qr.load_lexicon(data)
+    edit(data)
+    with pytest.raises(qr.LexiconFormatError, match="must be a number"):
+        qr.load_lexicon(data)
+
+
 def test_rejects_explicit_lattice_missing_used_grade():
     data = animal_lexicon()
     data["grades"] = [0, 0.5, 1]

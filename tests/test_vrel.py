@@ -264,7 +264,9 @@ def _random_map(src, tgt, q, rng):
 
 def _map_cases(q, form):
     """Every map generator, partial ones included, and nested and partial
-    tensors of them; `form` is applied to each generator first."""
+    tensors of them; `form` is applied to each generator first.  The
+    last two put a partial merge, whose targets repeat and include -1,
+    on either side of an identity, as the associativity law does."""
     three = qr.PowersetObject(_sets(2)[0], qr.GradeLattice([0, 0.5, 1]))
     p = qr.PowersetObject(_sets(1)[0], qr.GradeLattice([0, 0.5, 1]))
     s, crisp = p.index, qr.IndexSet([(0.0,), (1.0,)])
@@ -279,6 +281,8 @@ def _map_cases(q, form):
         qr.tensor_rel(qr.tensor_rel(partial_mu2, partial_mu), iota),
         qr.tensor_rel(zeta, qr.tensor_rel(ident, partial_mu)),
         qr.tensor_rel(qr.tensor_rel(iota, zeta), qr.tensor_rel(partial_mu, sw)),
+        qr.tensor_rel(partial_mu, ident),
+        qr.tensor_rel(ident, partial_mu),
     ]
 
 
