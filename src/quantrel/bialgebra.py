@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import EnumerationLimitError, QuantrelError
 from .quantale import Quantale
@@ -111,15 +111,48 @@ def mu(a: IndexSet, b: IndexSet, out: IndexSet, q: Quantale) -> VRel:
 
     A pair whose meet is missing from out has an empty row, which is
     how a restricted wire drops it; on a whole powerset every meet is
-    present."""
+    present.  When a, b and out are one whole powerset, the targets are
+    built by digit blocks (`_powerset_meets`), with no tuple meet or
+    lookup per pair."""
     if len(a) * len(b) > MAX_ENTRIES:
         raise EnumerationLimitError(
             f"merge of {len(a)}x{len(b)} pairs exceeds the entry guard")
-    pos = {m: j for j, m in enumerate(out.elements)}
-    meet = PowersetObject.meet
-    return VRel(a.tensor(b), out, q,
-                index_map=[pos.get(meet(x, y), -1)
-                           for x in a.elements for y in b.elements])
+    targets = _powerset_meets(a) if a == b == out else None
+    if targets is None:
+        pos = {m: j for j, m in enumerate(out.elements)}
+        meet = PowersetObject.meet
+        targets = [pos.get(meet(x, y), -1) for x in a.elements for y in b.elements]
+    return VRel(a.tensor(b), out, q, index_map=targets)
+
+
+def _powerset_meets(s: IndexSet) -> Optional[List[int]]:
+    """mu(s, s, s)'s targets, built by digit blocks, when s holds every
+    tuple over an ascending chain of g grades in lexicographic order, as
+    `PowersetObject` enumerates them; None for any other s.  With leading
+    digits x0, y0, the target of (x0 x', y0 y') is min(x0, y0) * g^(m-1)
+    plus that of (x', y'), so each (x0, x', y0) block is one shifted row
+    of the (m-1)-digit list."""
+    els = s.elements
+    try:
+        chain = sorted(set(itertools.chain.from_iterable(els)))
+    except TypeError:  # elements that are not iterables of grades
+        return None
+    m = len(els[0]) if els else 0
+    # Sizes first: a one-subset restricted wire over 30 entities with two
+    # grades would otherwise enumerate 2^30 tuples only to differ.
+    if (len(els) != len(chain) ** m
+            or els != tuple(itertools.product(chain, repeat=m))):
+        return None
+    targets, n = [0], 1
+    for _ in range(m):
+        rows = [targets[i * n:(i + 1) * n] for i in range(n)]
+        nxt: List[int] = []
+        for x0 in range(len(chain)):
+            for row in rows:
+                for y0 in range(len(chain)):
+                    nxt += map((min(x0, y0) * n).__add__, row)
+        targets, n = nxt, n * len(chain)
+    return targets
 
 
 def iota(p: PowersetObject, q: Quantale) -> VRel:

@@ -71,8 +71,11 @@ def _grades_in(data: dict):
     for group in _SET_GROUPS:
         for mapping in data.get(group, {}).values():
             yield from mapping.values()
-    for triples in data.get("verbs", {}).values():
+    for name, triples in data.get("verbs", {}).items():
         for triple in triples:
+            if len(triple) != 3:
+                raise LexiconFormatError(
+                    f"verb {name!r}: each entry is [subject, object, grade]")
             yield triple[2]
 
 
@@ -106,11 +109,7 @@ def _build_model(data: dict) -> Model:
                 universe, {str(k): float(v) for k, v in mapping.items()})
     for name, triples in data.get("verbs", {}).items():
         pairs: Dict[tuple, float] = {}
-        for triple in triples:
-            if len(triple) != 3:
-                raise LexiconFormatError(
-                    f"verb {name!r}: each entry is [subject, object, grade]")
-            s, o, g = triple
+        for s, o, g in triples:  # each of length 3, as _grades_in checked
             pairs[(str(s), str(o))] = float(g)
         model.verbs[str(name).lower()] = FuzzyRelation(universe, pairs)
     for name, desc in data.get("quantifiers", {}).items():
@@ -121,6 +120,8 @@ def _build_model(data: dict) -> Model:
 
 
 def _parse_quantifier(name: str, desc: dict):
+    if not isinstance(desc, dict):
+        raise LexiconFormatError(f"quantifier {name!r}: {desc!r} is not an object")
     kind = desc.get("kind")
     if kind == "fuzzy":
         bps = desc.get("breakpoints")

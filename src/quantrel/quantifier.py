@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Collection, Optional, Sequence, Tuple, Union
 
 from .errors import (EmptyRestrictorError, EnumerationLimitError,
@@ -52,10 +52,13 @@ class FuzzyQuantifier:
 
     name: str
     breakpoints: Tuple[Tuple[float, float], ...]
+    # The breakpoint proportions, which apply_distribution bisects.
+    proportions: Tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bps = tuple((float(p), float(v)) for p, v in self.breakpoints)
         object.__setattr__(self, "breakpoints", bps)
+        object.__setattr__(self, "proportions", tuple(p for p, _ in bps))
         if len(bps) < 2 or bps[0][0] != 0.0 or bps[-1][0] != 1.0:
             raise QuantrelError(
                 f"{self.name!r}: breakpoints must run from proportion 0 to 1")
@@ -129,7 +132,7 @@ def apply_distribution(d: Determiner, p: float) -> Grade:
         raise EvaluationError(
             f"determiner kind {d.kind!r} has no proportional distribution")
     bps = d.breakpoints
-    i = bisect_right([x for x, _ in bps], p) - 1
+    i = bisect_right(d.proportions, p) - 1
     if i >= len(bps) - 1:
         return bps[-1][1]
     (p0, v0), (p1, v1) = bps[i], bps[i + 1]

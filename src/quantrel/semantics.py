@@ -30,7 +30,9 @@ object subsets, where its subject is one state wire, and its name
 In the paper's diagrams a determiner maps its restrictor to a fresh
 wire that a cup joins with the merged scope, and the verb is a state of
 pairs whose subject half a cup joins with the subject's wire; the snake
-identities rewrite both into these narrow layouts.  Outside the doubly
+identities rewrite both into these narrow layouts, and swaps come after
+merges, by cocommutativity of copy, commutativity of merge and
+naturality of swap (see `compile_pipeline`).  Outside the doubly
 quantified form no layer holds more than three subset wires, and values
 are the same bit for bit.
 
@@ -384,9 +386,15 @@ def compile_pipeline(form: SentenceForm, words: SentenceWords) -> MorphismPipeli
     Each layout is the sentence's diagram rewritten by the snake
     identities into an equal narrow one (see the module docstring), and
     each state enters just before the layer that first consumes its
-    wire.  Graded factors meet in the diagram's order (np, v, np', d,
-    d'): the product and Lukasiewicz float tensors are not associative,
-    so that order keeps values bit for bit.
+    wire.  Swaps come after merges, by three laws in diagram order:
+    delta ; sigma = delta, sigma ; mu = mu, and naturality of sigma.
+    So QuantObject puts the object state and its copy left of id(B) and
+    merges (C2, B), with no swap, and DoubleQuant merges (A2, B) and
+    (D, C1) first, then swaps the merged G' past the restrictor C2 once.
+    The widest boundaries stay 3 and 6 wires.  Graded factors meet in
+    the diagram's order (np, v, np', d, d'): the product and Lukasiewicz
+    float tensors are not associative, so that order keeps values bit
+    for bit.
     """
     if form == SentenceForm.BARE_INTRANSITIVE:
         layers = (
@@ -411,10 +419,9 @@ def compile_pipeline(form: SentenceForm, words: SentenceWords) -> MorphismPipeli
         layers = (
             (_state("np", words.subj, "A"),),
             (_verb(words.verb, "A", "B"),),
-            (_id("B"), _state("np'", words.obj, "C")),
-            (_id("B"), _delta("C", "C1", "C2")),
-            (_sigma("B", "C1"), _id("C2")),
-            (_id("C1"), _mu("B", "C2", "G")),
+            (_state("np'", words.obj, "C"), _id("B")),
+            (_delta("C", "C1", "C2"), _id("B")),
+            (_id("C1"), _mu("C2", "B", "G")),
             (_det("d", words.obj_det, "C1", "G"),),
         )
     else:  # DOUBLE_QUANT
@@ -422,10 +429,9 @@ def compile_pipeline(form: SentenceForm, words: SentenceWords) -> MorphismPipeli
             (_state("np", words.subj, "A"), _verb_state(words.verb, "B", "D"),
              _state("np'", words.obj, "C")),
             (_delta("A", "A1", "A2"), _id("B"), _id("D"), _delta("C", "C1", "C2")),
-            (_id("A1"), _id("A2"), _id("B"), _sigma("D", "C1"), _id("C2")),
-            (_id("A1"), _id("A2"), _id("B"), _id("C1"), _sigma("D", "C2")),
-            (_id("A1"), _mu("A2", "B", "G"), _id("C1"), _mu("C2", "D", "G'")),
-            (_det("d", words.subj_det, "A1", "G"), _det("d'", words.obj_det, "C1", "G'")),
+            (_id("A1"), _mu("A2", "B", "G"), _mu("D", "C1", "G'"), _id("C2")),
+            (_id("A1"), _id("G"), _sigma("G'", "C2")),
+            (_det("d", words.subj_det, "A1", "G"), _det("d'", words.obj_det, "C2", "G'")),
         )
     pipeline = MorphismPipeline(form, layers)
     pipeline.check_types()

@@ -1,4 +1,6 @@
 import itertools
+import tracemalloc
+import types
 
 import pytest
 
@@ -207,3 +209,101 @@ def test_report_lookup():
     assert rep["copy-merge-compatibility"] is True
     with pytest.raises(KeyError):
         rep["no-such-law"]
+
+
+def _pairwise_mu(a, b, out, q):
+    """mu's definition read pair by pair: one tuple meet and one lookup
+    per pair, -1 where out lacks the meet."""
+    pos = {m: j for j, m in enumerate(out.elements)}
+    return qr.VRel(a.tensor(b), out, q, index_map=[
+        pos.get(tuple(map(min, x, y)), -1) for x in a.elements for y in b.elements])
+
+
+def _counting_meets(monkeypatch):
+    calls = []
+    meet = qr.PowersetObject.meet
+
+    def counting(a, b):
+        calls.append(1)
+        return meet(a, b)
+
+    monkeypatch.setattr(qr.PowersetObject, "meet", staticmethod(counting))
+    return calls
+
+
+@pytest.mark.parametrize("size, grades", [
+    (1, (0, 1)), (1, (0, 0.3, 0.6, 1)), (2, (0, 0.5, 1)), (3, (0, 0.3, 0.6, 1)),
+    (4, (0, 1)), (2, (0, 0.1, 0.25, 0.9, 1)), (6, (0, 1)),
+])
+def test_mu_on_a_whole_powerset_is_built_by_digit_blocks(size, grades, monkeypatch):
+    """On a whole powerset, mu equals the pair-by-pair tuple meet and
+    makes no tuple meet at all, on uniform and non-uniform chains."""
+    s = qr.PowersetObject(_universe(size), qr.GradeLattice(grades)).index
+    expected = _pairwise_mu(s, s, s, qr.GODEL)
+    calls = _counting_meets(monkeypatch)
+    got = qr.mu(s, s, s, qr.GODEL)
+    assert calls == []
+    assert got.equal(expected)
+    assert -1 not in expected._targets()
+
+
+def test_mu_on_other_index_sets_falls_back_to_tuple_meets(monkeypatch):
+    """A proper subset of P, a permuted P, b over another chain and an
+    out that is not a, b: each takes the pair-by-pair meet, so missing
+    meets stay empty rows and positions follow each set's own order."""
+    p = qr.PowersetObject(_universe(2), THREE_G).index
+    other = qr.PowersetObject(_universe(2), qr.GradeLattice([0, 0.3, 1])).index
+    part = qr.IndexSet(p.elements[1:])
+    permuted = qr.IndexSet(reversed(p.elements))
+    calls = _counting_meets(monkeypatch)
+    for a, b, out in ((part, part, part), (permuted, permuted, permuted),
+                      (p, other, p), (p, p, part)):
+        del calls[:]
+        got = qr.mu(a, b, out, qr.GODEL)
+        assert len(calls) == len(a) * len(b)
+        assert got.equal(_pairwise_mu(a, b, out, qr.GODEL))
+    assert -1 in _pairwise_mu(part, part, part, qr.GODEL)._targets()
+    assert -1 in _pairwise_mu(p, other, p, qr.GODEL)._targets()
+
+
+def test_mu_guard_fires_before_allocating():
+    """2048 subsets give 2048^2 pairs, past MAX_ENTRIES: the guard
+    raises before any target list (about 33 MB) is built."""
+    s = qr.PowersetObject(_universe(11), BOOL_G).index
+    assert len(s) ** 2 > qr.vrel.MAX_ENTRIES
+    tracemalloc.start()
+    try:
+        with pytest.raises(qr.EnumerationLimitError, match="merge of 2048x2048"):
+            qr.mu(s, s, s, qr.GODEL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+@pytest.mark.parametrize("q", ALL, ids=lambda q: q.name)
+def test_swap_after_merge_laws(q):
+    """The laws the evaluator's swap-after-merge layouts rest on:
+    copying then swapping is copying (cocommutativity), and swapping
+    then merging is merging (commutativity)."""
+    for p in (qr.PowersetObject(_universe(2), THREE_G),
+              qr.PowersetObject(_universe(3), qr.GradeLattice([0, 0.3, 0.6, 1]))):
+        s = p.index
+        sw = qr.swap(s, s, q)
+        assert qr.compose(qr.delta(s, q), sw).equal(qr.delta(s, q))
+        assert qr.compose(sw, qr.mu(s, s, s, q)).equal(qr.mu(s, s, s, q))
+
+
+def test_mu_on_one_wide_subset_skips_the_powerset_check(monkeypatch):
+    """A restricted wire holds one subset; over 30 entities and two
+    grades it is no powerset, and mu tells so from its size alone,
+    without enumerating the 2^30 tuples of the powerset it is not."""
+    def no_product(*args, **kwargs):
+        raise AssertionError("the powerset check enumerated a product")
+
+    monkeypatch.setattr(qr.bialgebra, "itertools",
+                        types.SimpleNamespace(chain=itertools.chain, product=no_product))
+    s = qr.IndexSet([(0.0, 1.0) * 15])
+    got = qr.mu(s, s, s, qr.GODEL)
+    assert got.equal(_pairwise_mu(s, s, s, qr.GODEL))
+    assert got._targets() == [0]

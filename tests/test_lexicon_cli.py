@@ -95,6 +95,21 @@ def test_rejects_numbers_given_as_strings_or_bools(edit):
         qr.load_lexicon(data)
 
 
+@pytest.mark.parametrize("edit", [
+    lambda d: d["verbs"]["see"].__setitem__(1, ["b", "a"]),
+    lambda d: d["quantifiers"].update(several="fuzzy"),
+], ids=["two-element-verb-entry", "quantifier-as-string"])
+def test_rejects_malformed_structure(edit):
+    """small.json loads as shipped; a verb entry without its grade or a
+    quantifier that is not an object is a LexiconFormatError, never a
+    raw IndexError or AttributeError."""
+    data = json.loads((LEXICON_DIR / "small.json").read_text())
+    qr.load_lexicon(data)
+    edit(data)
+    with pytest.raises(qr.LexiconFormatError):
+        qr.load_lexicon(data)
+
+
 def test_rejects_explicit_lattice_missing_used_grade():
     data = animal_lexicon()
     data["grades"] = [0, 0.5, 1]

@@ -28,6 +28,17 @@ def test_quantifier_validation():
         qr.FuzzyQuantifier("bad", ((0, 0), (0.4, 1), (0.4, 0), (1, 0)))
 
 
+def test_fuzzy_quantifier_stores_proportions_outside_its_value():
+    """apply_distribution bisects the stored proportions; repr, == and
+    hash still see only the name and the breakpoints."""
+    few = qr.FuzzyQuantifier("few", ((0, 1), (0.3, 1), (0.6, 0), (1, 0)))
+    assert few.proportions == (0.0, 0.3, 0.6, 1.0)
+    assert repr(few) == ("FuzzyQuantifier(name='few', breakpoints="
+                         "((0.0, 1.0), (0.3, 1.0), (0.6, 0.0), (1.0, 0.0)))")
+    again = qr.FuzzyQuantifier("few", few.breakpoints)
+    assert again == few and hash(again) == hash(few)
+
+
 def test_is_conservative():
     for kind in ("every", "some", "no"):
         assert qr.is_conservative(qr.CrispQuantifier(kind), U3)

@@ -156,6 +156,25 @@ def test_pipeline_printing(animals):
         "eps ∘ (np ⊗ vp)"
 
 
+@pytest.mark.parametrize("sentence, layout, width", [
+    ("mice eat several plants",
+     "d ∘ (id ⊗ mu) ∘ (delta ⊗ id) ∘ (np' ⊗ id) ∘ v ∘ np", 3),
+    ("several mice eat most plants",
+     "(d ⊗ d') ∘ (id ⊗ id ⊗ sigma) ∘ (id ⊗ mu ⊗ mu ⊗ id) ∘ "
+     "(delta ⊗ id ⊗ id ⊗ delta) ∘ (np ⊗ v ⊗ np')", 6),
+])
+def test_swap_after_merge_layouts(animals, sentence, layout, width):
+    """QuantObject merges (C2, B) with no swap; DoubleQuant merges first
+    and swaps the merged scope past the restrictor copy once.  The
+    widest boundaries stay 3 and 6 wires."""
+    tree = _tree(sentence, animals)
+    form = qr.classify(tree)
+    pipe = qr.compile_pipeline(form, qr.extract_words(tree, form))
+    assert str(pipe) == layout
+    assert max(sum(len(atom.wires_out) for atom in layer)
+               for layer in pipe.layers) == width
+
+
 def test_pipelines_type_check_for_all_forms(animals):
     sentences = {
         "mice sleep": qr.SentenceForm.BARE_INTRANSITIVE,
@@ -290,6 +309,68 @@ def test_exhaustive_double_quant_matches_brute_force():
                         quant_entry("every", c, tuple(map(min, c, d_))))
                     best = max(best, term)
     assert got == pytest.approx(best, abs=1e-12)
+
+
+def _graded_double_lexicon(quantale):
+    """Two elements over grades 0, 0.3, 1 (9 subsets), with graded
+    nouns, a graded verb and three graded determiners."""
+    return {
+        "universe": ["a", "b"],
+        "quantale": quantale,
+        "grades": [0, 0.3, 1],
+        "nouns": {"men": {"a": 0.3, "b": 1.0}, "dogs": {"a": 1.0, "b": 0.3}},
+        "verbs": {"see": [["a", "a", 1.0], ["b", "a", 0.3], ["a", "b", 0.3]]},
+        "quantifiers": {
+            "several": {"kind": "fuzzy", "breakpoints": [list(b) for b in SEVERAL_BPS]},
+            "most": {"kind": "fuzzy", "breakpoints": [[0, 0], [0.5, 0], [1, 1]]},
+            "few": {"kind": "fuzzy",
+                    "breakpoints": [[0, 0], [0.1, 1], [0.3, 1], [0.6, 0], [1, 0]]},
+        },
+    }
+
+
+@pytest.mark.parametrize("quantale", ["godel", "product", "lukasiewicz"])
+def test_exhaustive_graded_double_quant_equals_diagram_order_brute_force(quantale):
+    """The DoubleQuant join over every (A, B, D, C) of a graded lattice
+    equals, with ==, a loop that tensors the factors as the diagram
+    meets them: the states np ⊗ v ⊗ np' left to right, then the
+    determiner layer d ⊗ d', at the pairs (A, A∧B) and (C, C∧D).  The
+    loop reads each factor from the kernels the evaluator's atoms wrap
+    (`proportion_grades`, `image_grades`, `graded_entry`), so it checks
+    the layout and the join, not the kernels."""
+    from quantrel.fuzzyset import image_grades, proportion_grades
+    from quantrel.quantifier import graded_entry
+
+    model = qr.load_lexicon(_graded_double_lexicon(quantale))
+    tensor, t = model.quantale.tensor, model.threshold
+    members = list(itertools.product((0.0, 0.3, 1.0), repeat=2))
+    see = model.verbs["see"]
+
+    def state(b, a):
+        p = proportion_grades(b, a, t)
+        return 0.0 if p is None else p
+
+    def meet(x, y):
+        return tuple(map(min, x, y))
+
+    values = []
+    for subj, det1, obj, det2 in (("men", "several", "dogs", "most"),
+                                  ("dogs", "few", "men", "several"),
+                                  ("men", "most", "men", "few")):
+        s_t, o_t = model.nouns[subj].as_tuple(), model.nouns[obj].as_tuple()
+        d1, d2 = model.quantifiers[det1], model.quantifiers[det2]
+        best = 0.0
+        for a, b, d, c in itertools.product(members, repeat=4):
+            states = tensor(tensor(state(a, s_t), state(d, image_grades(see.rows, b))),
+                            state(c, o_t))
+            dets = tensor(graded_entry(d1, a, meet(a, b), t),
+                          graded_entry(d2, c, meet(c, d), t))
+            best = max(best, tensor(states, dets))
+        got = qr.eval_categorical(_tree(f"{det1} {subj} see {det2} {obj}", model),
+                                  model, "exhaustive")
+        assert got == best
+        values.append(got)
+    assert any(0.0 < v < 1.0 for v in values)
 
 
 def test_exhaustive_matches_brute_force_on_random_models():
