@@ -26,11 +26,10 @@ from .quantale import (BOOLEAN, GODEL, LUKASIEWICZ, PRODUCT, Quantale,
 from .quantifier import (CrispQuantifier, FuzzyQuantifier, apply_distribution,
                          apply_quantifier_argmax, gq_holds, graded_entry,
                          is_conservative, quantifier_vrel)
-from .semantics import (Model, MorphismPipeline, SentenceWords, TruthReport,
-                        compile_pipeline, degree_of_truth, eval_categorical,
-                        eval_crisp_truth, eval_zadeh_direct, extract_words,
-                        lexical_state, verb_between, verb_relation,
-                        verb_state)
+from .semantics import (Model, MorphismPipeline, TruthReport, compile_pipeline,
+                        degree_of_truth, eval_categorical, eval_crisp_truth,
+                        eval_zadeh_direct, lexical_state, verb_between,
+                        verb_relation, verb_state)
 from .vrel import (CrispRel, IndexSet, VRel, check_snake, compose, coname,
                    epsilon, eta, identity, include, name, snake_identities,
                    swap, tensor_rel)

@@ -145,17 +145,18 @@ def graded_entry(d: Determiner, a: Sequence[float], b: Sequence[float],
 
     Graded determiners score the proportion of b inside a, with bottom
     when a has sigma-count zero.  Crisp determiners use their set
-    conditions, read pointwise: "every" needs a below b everywhere,
-    "some"/"no" a positive/empty pointwise minimum, and "exactly" counts
-    common members of crisp tuples.
+    conditions, read pointwise: "every" needs a below b, "some" a
+    positive minimum, both ignoring grades below the threshold as a
+    sigma-count does, "no" an empty pointwise minimum, and "exactly"
+    counts common members of crisp tuples.
     """
     if isinstance(d, FuzzyQuantifier):
         p = proportion_grades(b, a, threshold)
         return 0.0 if p is None else apply_distribution(d, p)
     if d.kind == "every":
-        return 1.0 if all(x <= y for x, y in zip(a, b)) else 0.0
+        return 1.0 if all(x <= y for x, y in zip(a, b) if x >= threshold) else 0.0
     if d.kind == "some":
-        return 1.0 if any(min(x, y) > 0.0 for x, y in zip(a, b)) else 0.0
+        return 1.0 if any(m > 0.0 and m >= threshold for m in map(min, a, b)) else 0.0
     if d.kind == "no":
         return 1.0 if all(min(x, y) == 0.0 for x, y in zip(a, b)) else 0.0
     if not all(g in (0.0, 1.0) for g in itertools.chain(a, b)):

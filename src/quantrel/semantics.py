@@ -7,6 +7,12 @@ categorical  compilation of the parse into a relation pipeline over
            enumerated graded subsets, evaluated to the single entry of
            a unit-to-unit relation.
 
+Each evaluator binds its sentence to the model in one place,
+`_Denotations`, which reads every role from the parse tree and resolves
+its word once.  A pipeline depends only on the sentence form, so the
+five are built when the module loads, and words reach one only as the
+denotations its state and determiner atoms take by label.
+
 The categorical evaluator has two modes.  Exhaustive mode enumerates
 every graded subset built from the model's grade lattice and takes the
 genuine join over all of them.  Restricted mode (the default) lets each
@@ -14,11 +20,12 @@ bound subset variable range only over the small closure of lexicon
 denotations under intersection, verb image and quantifier scaling; on
 quantified-subject and quantified-object sentences the join is then
 pinned at the denotations themselves and the result coincides exactly
-with the direct method.  For doubly quantified sentences restricted
-mode computes the operational reading (apply each determiner to its
-noun by scaling, then score the verb between the two results), which is
-also what the direct method does; the compiled pipeline is still built
-and type-checked, and exhaustive mode evaluates it as a genuine join.
+with the direct method, except for a determiner with Q(0) > 0 over a
+scope of sigma-count zero, whose state has no entries.  For doubly
+quantified sentences restricted mode computes the operational reading
+(apply each determiner to its noun by scaling, then score the verb
+between the two results), which is also what the direct method does;
+exhaustive mode evaluates the compiled pipeline as a genuine join.
 
 Every structural atom of a pipeline is built by the same constructor
 the law checkers certify: `bialgebra.delta` and `bialgebra.mu`,
@@ -37,13 +44,11 @@ quantified form no layer holds more than three subset wires, and values
 are the same bit for bit.
 
 A determiner is graded only at the (restrictor, scope) pairs the join
-reaches, never over all of P x P.  The layers compose left to right,
-and each is built after the state composed so far; `compose` reads a
-layer only at the rows in that state's support, so the determiner
-table holds those rows alone.  Its scope wire is the merge of its
-restrictor with the scope, so every reached pair is a conservative
-pair (A, A∧B).  Each reached entry is the one the full table holds, so
-this is exact: values are the same bit for bit.
+reaches, never over all of P x P: the conservative pairs (A, A∧B), as
+its scope wire merges its restrictor with the scope.  Each layer is
+built after the state composed so far, which `compose` reads only at
+its support (see `_pipeline_value`); each reached entry is the one the
+full table holds, so values are the same bit for bit.
 """
 
 from __future__ import annotations
@@ -60,7 +65,7 @@ from .fuzzyset import (FuzzyRelation, FuzzySet, image_grades, proportion,
                        proportion_grades, verb_image)
 from .grammar import ParseTree, SentenceForm, classify, parse, tokenize
 from .quantale import Quantale
-from .quantifier import (CrispQuantifier, Determiner, apply_distribution,
+from .quantifier import (Determiner, FuzzyQuantifier, apply_distribution,
                          apply_quantifier_argmax, gq_holds, quantifier_vrel,
                          require_quantale)
 from .vrel import (IndexSet, VRel, compose, coname, epsilon, identity, name,
@@ -124,41 +129,7 @@ class Model:
         return PowersetObject(self.universe, self.grades)
 
 
-# -- word extraction --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SentenceWords:
-    """The lexicon words a parse tree binds to each semantic role."""
-
-    form: SentenceForm
-    subj: str = ""          # subject noun (quantified) or noun phrase
-    subj_det: str = ""
-    vp: str = ""            # lexical intransitive verb, when present
-    verb: str = ""          # transitive verb, when present
-    obj: str = ""           # object noun or noun phrase
-    obj_det: str = ""
-
-
-def extract_words(tree: ParseTree, form: SentenceForm) -> SentenceWords:
-    subject, vp = tree.children
-    kw = {"form": form}
-    if len(subject.children) == 2:
-        kw["subj_det"] = subject.children[0].word
-        kw["subj"] = subject.children[1].word
-    else:
-        kw["subj"] = subject.word
-    if vp.is_leaf():
-        kw["vp"] = vp.word
-    else:
-        kw["verb"] = vp.children[0].word
-        obj = vp.children[1]
-        if len(obj.children) == 2:
-            kw["obj_det"] = obj.children[0].word
-            kw["obj"] = obj.children[1].word
-        else:
-            kw["obj"] = obj.word
-    return SentenceWords(**kw)
+# -- binding a sentence to a model -----------------------------------------
 
 
 def _require(group: dict, word: str, role: str):
@@ -167,47 +138,50 @@ def _require(group: dict, word: str, role: str):
     return group[word]
 
 
-class _Denotations:
-    """Resolved fuzzy sets / relations / determiners for one sentence."""
+def _noun_phrase(np: ParseTree, model: Model, role: str):
+    """The determiner (None for a bare noun phrase) and the fuzzy set of
+    a noun phrase, read from its parse tree."""
+    if np.is_leaf():
+        return None, _require(model.nps, np.word, role)
+    det, noun = np.children
+    d = _require(model.quantifiers, det.word, "determiner")
+    require_quantale(d, model.quantale)
+    return d, _require(model.nouns, noun.word, role)
 
-    def __init__(self, words: SentenceWords, model: Model):
-        self.words = words
-        self.model = model
-        form = words.form
-        quantified_subject = form in (SentenceForm.QUANT_SUBJECT, SentenceForm.DOUBLE_QUANT)
-        self.subj = (model.nouns if quantified_subject else model.nps).get(words.subj)
-        if self.subj is None:
-            raise EvaluationError(f"no denotation for subject {words.subj!r}")
-        self.subj_det = self.obj_det = self.verb = None
-        if words.subj_det:
-            self.subj_det = _require(model.quantifiers, words.subj_det, "determiner")
-            require_quantale(self.subj_det, model.quantale)
-        if words.verb:
-            self.verb = _require(model.verbs, words.verb, "verb")
-        if words.obj_det:
-            self.obj_det = _require(model.quantifiers, words.obj_det, "determiner")
-            require_quantale(self.obj_det, model.quantale)
-        self.obj = None
-        if words.obj:
-            group = model.nouns if words.obj_det else model.nps
-            self.obj = group.get(words.obj)
-            if self.obj is None:
-                raise EvaluationError(f"no denotation for object {words.obj!r}")
-        self.vp = None
-        if words.vp:
-            self.vp = model.vps.get(words.vp)
-            if self.vp is None:
-                raise EvaluationError(f"no denotation for verb phrase {words.vp!r}")
-        elif form == SentenceForm.QUANT_SUBJECT:
-            # "d n v np": the transitive verb phrase plays the VP role;
-            # its denotation x -> max_y min(v(x, y), obj(y)) is the image
-            # of the object under the converse rows.
-            converse = tuple([] for _ in self.verb.rows)
-            for x, row in enumerate(self.verb.rows):
-                for y, g in row:
-                    converse[y].append((x, g))
-            self.vp = FuzzySet(self.obj.universe,
-                               image_grades(converse, self.obj.grades))
+
+class _Denotations:
+    """The form of one sentence and the denotations its words bind.
+
+    This is the only place a sentence meets a model: each role is read
+    from the parse tree and resolved in the model once, and the
+    evaluators and pipeline atoms read the results by role or by atom
+    label (`by_label`)."""
+
+    def __init__(self, tree: ParseTree, model: Model):
+        self.form = classify(tree)
+        subject, predicate = tree.children
+        self.subj_det, self.subj = _noun_phrase(subject, model, "subject")
+        self.verb = self.obj_det = self.obj = self.vp = None
+        if predicate.is_leaf():
+            self.vp = _require(model.vps, predicate.word, "verb phrase")
+            return
+        verb, obj = predicate.children
+        self.verb = _require(model.verbs, verb.word, "verb")
+        self.obj_det, self.obj = _noun_phrase(obj, model, "object")
+        if self.form == SentenceForm.QUANT_SUBJECT:
+            # "d n v np": the transitive verb phrase plays the VP role,
+            # with denotation x -> max_y min(v(x, y), obj(y)).
+            obj = self.obj.grades
+            self.vp = FuzzySet(self.obj.universe, [
+                max((min(g, obj[y]) for y, g in row), default=0.0)
+                for row in self.verb.rows])
+
+    def by_label(self, label: str):
+        """The denotation a state or det atom labelled `label` stands
+        for: "d" is the sentence's first determiner, "d'" its second."""
+        dets = [d for d in (self.subj_det, self.obj_det) if d is not None]
+        return {"np": self.subj, "vp": self.vp, "np'": self.obj,
+                **dict(zip(("d", "d'"), dets))}[label]
 
     def fuzzy_sets(self):
         return [fs for fs in (self.subj, self.vp, self.obj) if fs is not None]
@@ -231,18 +205,10 @@ def _operational_double_quant(den: _Denotations) -> float:
 # -- crisp evaluation -------------------------------------------------------
 
 
-def _crisp_quantifier(d: Determiner, word: str) -> CrispQuantifier:
-    if not isinstance(d, CrispQuantifier):
-        raise EvaluationError(
-            f"determiner {word!r} is graded; the crisp evaluator needs a crisp one")
-    return d
-
-
 def eval_crisp_truth(tree: ParseTree, model: Model) -> bool:
     """Classical truth over crisp sets per the generalized-quantifier reading."""
-    form = classify(tree)
-    words = extract_words(tree, form)
-    den = _Denotations(words, model)
+    den = _Denotations(tree, model)
+    form = den.form
     for fs in den.fuzzy_sets():
         if not fs.is_crisp():
             raise EvaluationError("fuzzy denotation present; use the direct or "
@@ -250,6 +216,10 @@ def eval_crisp_truth(tree: ParseTree, model: Model) -> bool:
     if den.verb is not None and not den.verb.is_crisp():
         raise EvaluationError("fuzzy verb present; use the direct or "
                               "categorical evaluator")
+    for d in (den.subj_det, den.obj_det):
+        if isinstance(d, FuzzyQuantifier):
+            raise EvaluationError(
+                f"determiner {d.name!r} is graded; the crisp evaluator needs a crisp one")
 
     subj = den.subj.support()
     if form == SentenceForm.BARE_INTRANSITIVE:
@@ -257,22 +227,18 @@ def eval_crisp_truth(tree: ParseTree, model: Model) -> bool:
     if form == SentenceForm.BARE_TRANSITIVE:
         return bool(verb_image(den.verb, den.subj).support() & den.obj.support())
     if form == SentenceForm.QUANT_SUBJECT:
-        d = _crisp_quantifier(den.subj_det, words.subj_det)
-        return gq_holds(d, subj, den.vp.support() & subj)
+        return gq_holds(den.subj_det, subj, den.vp.support() & subj)
     if form == SentenceForm.QUANT_OBJECT:
-        d = _crisp_quantifier(den.obj_det, words.obj_det)
         obj = den.obj.support()
-        return gq_holds(d, obj, obj & verb_image(den.verb, den.subj).support())
+        return gq_holds(den.obj_det, obj, obj & verb_image(den.verb, den.subj).support())
     # DOUBLE_QUANT: object condition nested inside the subject condition.
-    d1 = _crisp_quantifier(den.subj_det, words.subj_det)
-    d2 = _crisp_quantifier(den.obj_det, words.obj_det)
     obj = den.obj.support()
     u = model.universe
     vp_set = frozenset(
         x for x in u.elements
-        if gq_holds(d2, obj, obj & verb_image(
+        if gq_holds(den.obj_det, obj, obj & verb_image(
             den.verb, FuzzySet.from_support(u, (x,))).support()))
-    return gq_holds(d1, subj, subj & vp_set)
+    return gq_holds(den.subj_det, subj, subj & vp_set)
 
 
 # -- direct fuzzy evaluation ------------------------------------------------
@@ -280,9 +246,8 @@ def eval_crisp_truth(tree: ParseTree, model: Model) -> bool:
 
 def eval_zadeh_direct(tree: ParseTree, model: Model) -> float:
     """Score the sentence with the fuzzy-quantifier formulas."""
-    form = classify(tree)
-    words = extract_words(tree, form)
-    den = _Denotations(words, model)
+    den = _Denotations(tree, model)
+    form = den.form
     t = model.threshold
 
     if form == SentenceForm.BARE_INTRANSITIVE:
@@ -309,23 +274,22 @@ class Atom:
     label: str                     # display name
     wires_in: Tuple[str, ...]
     wires_out: Tuple[str, ...]
-    word: str = ""                 # lexicon word for state/verb/verb_state/det
 
 
-def _state(label, word, wire):
-    return Atom("state", label, (), (wire,), word)
+def _state(label, wire):
+    return Atom("state", label, (), (wire,))
 
 
-def _verb(word, w_in, w_out):
-    return Atom("verb", "v", (w_in,), (w_out,), word)
+def _verb(w_in, w_out):
+    return Atom("verb", "v", (w_in,), (w_out,))
 
 
-def _verb_state(word, w1, w2):
-    return Atom("verb_state", "v", (), (w1, w2), word)
+def _verb_state(w1, w2):
+    return Atom("verb_state", "v", (), (w1, w2))
 
 
-def _det(label, word, restrictor, scope):
-    return Atom("det", label, (restrictor, scope), (), word)
+def _det(label, restrictor, scope):
+    return Atom("det", label, (restrictor, scope), ())
 
 
 def _delta(w, w1, w2):
@@ -376,7 +340,7 @@ class MorphismPipeline:
         return " ∘ ".join(parts)
 
 
-def compile_pipeline(form: SentenceForm, words: SentenceWords) -> MorphismPipeline:
+def compile_pipeline(form: SentenceForm) -> MorphismPipeline:
     """Assemble the generator pipeline for a sentence form.
 
     The composite always type-checks to a unit-to-unit relation, and its
@@ -398,44 +362,48 @@ def compile_pipeline(form: SentenceForm, words: SentenceWords) -> MorphismPipeli
     """
     if form == SentenceForm.BARE_INTRANSITIVE:
         layers = (
-            (_state("np", words.subj, "A"), _state("vp", words.vp, "B")),
+            (_state("np", "A"), _state("vp", "B")),
             (_eps("A", "B"),),
         )
     elif form == SentenceForm.QUANT_SUBJECT:
         layers = (
-            (_state("np", words.subj, "A"), _state("vp", words.vp or words.verb, "B")),
+            (_state("np", "A"), _state("vp", "B")),
             (_delta("A", "A1", "A2"), _id("B")),
             (_id("A1"), _mu("A2", "B", "G")),
-            (_det("d", words.subj_det, "A1", "G"),),
+            (_det("d", "A1", "G"),),
         )
     elif form == SentenceForm.BARE_TRANSITIVE:
         layers = (
-            (_state("np", words.subj, "A"),),
-            (_verb(words.verb, "A", "B"),),
-            (_id("B"), _state("np'", words.obj, "C")),
+            (_state("np", "A"),),
+            (_verb("A", "B"),),
+            (_id("B"), _state("np'", "C")),
             (_eps("B", "C"),),
         )
     elif form == SentenceForm.QUANT_OBJECT:
         layers = (
-            (_state("np", words.subj, "A"),),
-            (_verb(words.verb, "A", "B"),),
-            (_state("np'", words.obj, "C"), _id("B")),
+            (_state("np", "A"),),
+            (_verb("A", "B"),),
+            (_state("np'", "C"), _id("B")),
             (_delta("C", "C1", "C2"), _id("B")),
             (_id("C1"), _mu("C2", "B", "G")),
-            (_det("d", words.obj_det, "C1", "G"),),
+            (_det("d", "C1", "G"),),
         )
     else:  # DOUBLE_QUANT
         layers = (
-            (_state("np", words.subj, "A"), _verb_state(words.verb, "B", "D"),
-             _state("np'", words.obj, "C")),
+            (_state("np", "A"), _verb_state("B", "D"), _state("np'", "C")),
             (_delta("A", "A1", "A2"), _id("B"), _id("D"), _delta("C", "C1", "C2")),
             (_id("A1"), _mu("A2", "B", "G"), _mu("D", "C1", "G'"), _id("C2")),
             (_id("A1"), _id("G"), _sigma("G'", "C2")),
-            (_det("d", words.subj_det, "A1", "G"), _det("d'", words.obj_det, "C2", "G'")),
+            (_det("d", "A1", "G"), _det("d'", "C2", "G'")),
         )
     pipeline = MorphismPipeline(form, layers)
     pipeline.check_types()
     return pipeline
+
+
+# Every pipeline depends on its sentence form alone, so each is built
+# and type-checked once.
+_PIPELINES = {form: compile_pipeline(form) for form in SentenceForm}
 
 
 # -- lexical state relations ------------------------------------------------
@@ -497,7 +465,7 @@ def verb_state(verb: FuzzyRelation, source_set: IndexSet, target_set: IndexSet,
 
 
 def _atom_vrel(atom: Atom, model: Model, wires: Dict[str, IndexSet],
-               den: "_Denotations", state: Optional[VRel] = None,
+               den: _Denotations, state: Optional[VRel] = None,
                stride: int = 1) -> VRel:
     """The relation an atom denotes over the index sets of its wires.
 
@@ -509,8 +477,7 @@ def _atom_vrel(atom: Atom, model: Model, wires: Dict[str, IndexSet],
     ins = [wires[w] for w in atom.wires_in]
     outs = [wires[w] for w in atom.wires_out]
     if atom.kind == "state":
-        fs = {"np": den.subj, "vp": den.vp, "np'": den.obj}[atom.label]
-        return lexical_state(fs, outs[0], q, t)
+        return lexical_state(den.by_label(atom.label), outs[0], q, t)
     if atom.kind == "verb":
         return verb_relation(den.verb, ins[0], outs[0], q, t)
     if atom.kind == "verb_state":
@@ -519,7 +486,7 @@ def _atom_vrel(atom: Atom, model: Model, wires: Dict[str, IndexSet],
         n = len(ins[1])
         size = len(ins[0]) * n
         pairs = {divmod(k // stride % size, n) for _, k in state.entries()}
-        return coname(quantifier_vrel(model.quantifiers[atom.word], ins[0], ins[1],
+        return coname(quantifier_vrel(den.by_label(atom.label), ins[0], ins[1],
                                       q, t, pairs))
     if atom.kind == "delta":
         return delta(ins[0], q)
@@ -537,7 +504,7 @@ def _atom_vrel(atom: Atom, model: Model, wires: Dict[str, IndexSet],
 
 
 def _pipeline_value(pipeline: MorphismPipeline, model: Model,
-                    wires: Dict[str, IndexSet], den: "_Denotations") -> float:
+                    wires: Dict[str, IndexSet], den: _Denotations) -> float:
     """The scalar of the pipeline's layers composed left to right.
 
     Each layer is built after the state composed so far, a relation
@@ -561,16 +528,16 @@ def _pipeline_value(pipeline: MorphismPipeline, model: Model,
     return float(state.scalar())
 
 
-def _restricted_wires(form: SentenceForm, den: _Denotations) -> Dict[str, IndexSet]:
+def _restricted_wires(den: _Denotations) -> Dict[str, IndexSet]:
     """Candidate subsets per wire: the proof-relevant closure of the
     lexicon denotations under intersection and verb image."""
-    if form == SentenceForm.QUANT_SUBJECT:
+    if den.form == SentenceForm.QUANT_SUBJECT:
         n_t, vp_t = den.subj.as_tuple(), den.vp.as_tuple()
         meet = tuple(map(min, n_t, vp_t))
         w_a = IndexSet([n_t])
         w_b = IndexSet([vp_t])
         return {"A": w_a, "A1": w_a, "A2": w_a, "B": w_b, "G": IndexSet([meet])}
-    if form == SentenceForm.QUANT_OBJECT:
+    if den.form == SentenceForm.QUANT_OBJECT:
         np_t = den.subj.as_tuple()
         image = verb_image(den.verb, den.subj).as_tuple()
         n_t = den.obj.as_tuple()
@@ -578,17 +545,17 @@ def _restricted_wires(form: SentenceForm, den: _Denotations) -> Dict[str, IndexS
         w_c = IndexSet([n_t])
         return {"A": IndexSet([np_t]), "B": IndexSet([image]),
                 "C": w_c, "C1": w_c, "C2": w_c, "G": IndexSet([meet])}
-    if form == SentenceForm.BARE_INTRANSITIVE:
+    if den.form == SentenceForm.BARE_INTRANSITIVE:
         np_t, vp_t = den.subj.as_tuple(), den.vp.as_tuple()
         shared = IndexSet(dict.fromkeys([np_t, vp_t, tuple(map(min, np_t, vp_t))]))
         return {"A": shared, "B": shared}
-    if form == SentenceForm.BARE_TRANSITIVE:
+    if den.form == SentenceForm.BARE_TRANSITIVE:
         np_t = den.subj.as_tuple()
         image = verb_image(den.verb, den.subj).as_tuple()
         obj_t = den.obj.as_tuple()
         shared = IndexSet(dict.fromkeys([image, obj_t, tuple(map(min, image, obj_t))]))
         return {"A": IndexSet([np_t]), "B": shared, "C": shared}
-    raise EvaluationError(f"no restricted wiring for {form}")
+    raise EvaluationError(f"no restricted wiring for {den.form}")
 
 
 EXHAUSTIVE_WORK_GUARD = 20_000_000
@@ -603,10 +570,9 @@ def eval_categorical(tree: ParseTree, model: Model, mode: str = "restricted") ->
     """
     if mode not in ("restricted", "exhaustive"):
         raise QuantrelError(f"unknown mode {mode!r}")
-    form = classify(tree)
-    words = extract_words(tree, form)
-    den = _Denotations(words, model)
-    pipeline = compile_pipeline(form, words)
+    den = _Denotations(tree, model)
+    form = den.form
+    pipeline = _PIPELINES[form]
 
     if mode == "exhaustive":
         p = model.powerset()
@@ -638,7 +604,7 @@ def eval_categorical(tree: ParseTree, model: Model, mode: str = "restricted") ->
         # Operational reading; see the module docstring.
         return _operational_double_quant(den)
 
-    return _pipeline_value(pipeline, model, _restricted_wires(form, den), den)
+    return _pipeline_value(pipeline, model, _restricted_wires(den), den)
 
 
 # -- front door -------------------------------------------------------------

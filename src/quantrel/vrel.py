@@ -28,7 +28,8 @@ checkers certify and what the categorical evaluator wires its sentence
 pipelines from.  `name` and `coname` bend a relation X -> Y into a
 state I -> X x Y or an effect X x Y -> I by re-indexing its entries;
 they are the composites with eta and epsilon that the snake identities
-relate, computed without composing.
+relate, computed without composing; eta and epsilon are the name and
+coname of the identity, so the snake checks run that same re-indexing.
 
 Values are immutable after construction: no read writes a slot, so
 they are safe to share across threads.
@@ -435,20 +436,6 @@ def tensor_rel(r: VRel, s: VRel) -> VRel:
     return VRel(source, target, q, entries=entries)
 
 
-def epsilon(s: IndexSet, q: Quantale) -> VRel:
-    """Cup: relates a pair (a, b) to the unit point exactly when a = b."""
-    n, e = len(s), q.unit
-    return VRel(s.tensor(s), IndexSet.unit(), q,
-                entries={(i * n + i, 0): e for i in range(n)})
-
-
-def eta(s: IndexSet, q: Quantale) -> VRel:
-    """Cap: relates the unit point to every diagonal pair (a, a)."""
-    n, e = len(s), q.unit
-    return VRel(IndexSet.unit(), s.tensor(s), q,
-                entries={(0, i * n + i): e for i in range(n)})
-
-
 def name(r: VRel) -> VRel:
     """The name of r: X -> Y bent into a state I -> X x Y.
 
@@ -467,6 +454,16 @@ def coname(r: VRel) -> VRel:
     n = len(r.target)
     return VRel(r.source.tensor(r.target), IndexSet.unit(), r.quantale,
                 entries={(i * n + j, 0): g for (i, j), g in r.entries().items()})
+
+
+def epsilon(s: IndexSet, q: Quantale) -> VRel:
+    """Cup, the coname of the identity: each pair (a, a) to the unit point."""
+    return coname(identity(s, q))
+
+
+def eta(s: IndexSet, q: Quantale) -> VRel:
+    """Cap, the name of the identity: the unit point to each pair (a, a)."""
+    return name(identity(s, q))
 
 
 def swap(a: IndexSet, b: IndexSet, q: Quantale) -> VRel:

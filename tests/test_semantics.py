@@ -4,7 +4,8 @@ import random
 import pytest
 
 import quantrel as qr
-from conftest import SEVERAL_BPS, animal_lexicon, interpolation_oracle
+from conftest import (SEVERAL_BPS, animal_lexicon, crisp_lexicon,
+                      interpolation_oracle)
 
 
 def _tree(sentence, model):
@@ -144,15 +145,10 @@ def test_direct_derived_vp_reading(animals):
 # -- pipeline compilation --------------------------------------------------------
 
 
-def test_pipeline_printing(animals):
-    tree = _tree("several cats sleep", animals)
-    words = qr.extract_words(tree, qr.classify(tree))
-    pipe = qr.compile_pipeline(qr.SentenceForm.QUANT_SUBJECT, words)
+def test_pipeline_printing():
+    pipe = qr.compile_pipeline(qr.SentenceForm.QUANT_SUBJECT)
     assert str(pipe) == "d ∘ (id ⊗ mu) ∘ (delta ⊗ id) ∘ (np ⊗ vp)"
-
-    tree = _tree("mice sleep", animals)
-    words = qr.extract_words(tree, qr.classify(tree))
-    assert str(qr.compile_pipeline(qr.SentenceForm.BARE_INTRANSITIVE, words)) == \
+    assert str(qr.compile_pipeline(qr.SentenceForm.BARE_INTRANSITIVE)) == \
         "eps ∘ (np ⊗ vp)"
 
 
@@ -167,9 +163,7 @@ def test_swap_after_merge_layouts(animals, sentence, layout, width):
     """QuantObject merges (C2, B) with no swap; DoubleQuant merges first
     and swaps the merged scope past the restrictor copy once.  The
     widest boundaries stay 3 and 6 wires."""
-    tree = _tree(sentence, animals)
-    form = qr.classify(tree)
-    pipe = qr.compile_pipeline(form, qr.extract_words(tree, form))
+    pipe = qr.compile_pipeline(qr.classify(_tree(sentence, animals)))
     assert str(pipe) == layout
     assert max(sum(len(atom.wires_out) for atom in layer)
                for layer in pipe.layers) == width
@@ -181,12 +175,12 @@ def test_pipelines_type_check_for_all_forms(animals):
         "several cats sleep": qr.SentenceForm.QUANT_SUBJECT,
         "mice eat several plants": qr.SentenceForm.QUANT_OBJECT,
         "several mice eat most plants": qr.SentenceForm.DOUBLE_QUANT,
+        "mice eat mice": qr.SentenceForm.BARE_TRANSITIVE,
     }
     for sentence, form in sentences.items():
-        tree = _tree(sentence, animals)
-        assert qr.classify(tree) is form
-        pipe = qr.compile_pipeline(form, qr.extract_words(tree, form))
-        pipe.check_types()  # raises on any wiring defect
+        assert qr.classify(_tree(sentence, animals)) is form
+        qr.compile_pipeline(form).check_types()  # raises on any wiring defect
+    assert set(sentences.values()) == set(qr.SentenceForm)
 
 
 # -- categorical evaluation -------------------------------------------------------
@@ -356,7 +350,8 @@ def test_exhaustive_graded_double_quant_equals_diagram_order_brute_force(quantal
     values = []
     for subj, det1, obj, det2 in (("men", "several", "dogs", "most"),
                                   ("dogs", "few", "men", "several"),
-                                  ("men", "most", "men", "few")):
+                                  ("men", "most", "men", "few"),
+                                  ("dogs", "most", "dogs", "few")):
         s_t, o_t = model.nouns[subj].as_tuple(), model.nouns[obj].as_tuple()
         d1, d2 = model.quantifiers[det1], model.quantifiers[det2]
         best = 0.0
@@ -637,6 +632,25 @@ def test_nonzero_threshold_threads_through_both_routes():
     assert qr.eval_categorical(tree, model, "restricted") == \
         pytest.approx(direct, abs=1e-9)
 
+    # Crisp "every" and "some": the grade 0.05 of a in cats is below the
+    # cutoff, so it counts neither as a restrictor member nor as a meet.
+    model = qr.load_lexicon({
+        "universe": ["a", "b", "c"],
+        "quantale": "godel",
+        "grades": [0, 0.05, 0.5, 1],
+        "threshold": 0.1,
+        "nouns": {"cats": {"a": 0.05, "b": 1, "c": 0.5}},
+        "vps": {"sleep": {"b": 1, "c": 0.5}, "run": {"a": 1}},
+        "verbs": {"see": [["a", "b", 1], ["a", "c", 0.5]], "touch": [["a", "a", 1]]},
+        "nps": {"john": {"a": 1}},
+        "quantifiers": {"every": {"kind": "every"}, "some": {"kind": "some"}},
+    })
+    for sentence, expected in [("every cats sleep", 1.0), ("john see every cats", 1.0),
+                               ("some cats run", 0.0), ("john touch some cats", 0.0)]:
+        tree = _tree(sentence, model)
+        assert qr.eval_zadeh_direct(tree, model) == expected, sentence
+        assert qr.eval_categorical(tree, model, "restricted") == expected, sentence
+
 
 def test_crisp_every_at_partial_proportion_scores_zero(people):
     """The absolute reading of 'all' fits only proportion one."""
@@ -781,3 +795,22 @@ def test_degree_of_truth_report(animals):
     assert set(report.values) == {"direct", "categorical"}
     with pytest.raises(qr.QuantrelError):
         qr.degree_of_truth("several cats sleep", animals, method="warp")
+
+
+def test_degree_of_truth_crisp_method(crisp):
+    for sentence, form, truth in [
+            ("some men sneeze", qr.SentenceForm.QUANT_SUBJECT, True),
+            ("every men sneeze", qr.SentenceForm.QUANT_SUBJECT, False),
+            ("john liked no trees", qr.SentenceForm.QUANT_OBJECT, False)]:
+        report = qr.degree_of_truth(sentence, crisp, method="crisp")
+        assert report.form is form and report.method == "crisp"
+        assert report.values == {"crisp": truth}
+        assert report.diff is None
+    # Crisp memberships over a real quantale admit a graded determiner,
+    # which the crisp evaluator refuses by its name.
+    data = crisp_lexicon()
+    data["quantale"] = "godel"
+    data["quantifiers"]["several"] = {"kind": "fuzzy",
+                                      "breakpoints": [list(b) for b in SEVERAL_BPS]}
+    with pytest.raises(qr.EvaluationError, match="determiner 'several' is graded"):
+        qr.degree_of_truth("several men sneeze", qr.load_lexicon(data), method="crisp")
