@@ -580,7 +580,11 @@ def eval_categorical(tree: ParseTree, model: Model, mode: str = "restricted") ->
         # layer boundary, so the widest boundary sets its cost: 2 wires
         # for the bare forms, 3 for QuantSubject and QuantObject, 6 for
         # DoubleQuant.  The guard thus admits |P| up to 4472, 271 and
-        # 16 subsets.
+        # 16 subsets.  The bare forms stop earlier, at 1414 subsets: their
+        # cup is an index map of |P|^2 positions, which `vrel.coname`
+        # refuses past MAX_ENTRIES before building it (over the real
+        # quantales the state tensor reaches its own entry guard near
+        # 1600 subsets anyway).
         width = max(sum(len(atom.wires_out) for atom in layer)
                     for layer in pipeline.layers)
         work = len(p) ** width

@@ -11,15 +11,17 @@ products, and nested products are flattened, so no unitor or associator
 bookkeeping is ever needed.
 
 A relation takes one of two forms.  Most store their entries.  The
-structural generators that are functions (identity and swap here,
-delta, mu, iota and zeta in `bialgebra`) are index maps: one target
-position, or none, per source position, always with the unit grade.  A
-map is given as a list of targets, or as a tensor of two maps that
-keeps its factors and reads their targets on demand; a tensor with a
-graded factor stores its entries.  Composition of two maps is list
-indexing; a tensor of maps on the left is gathered block by block, once
-per distinct target of its left factor, and a graded relation passes
-through a map on its right unchanged.  That keeps composites like
+structural generators that are functions (identity, swap and the cup
+epsilon here, delta, mu, iota and zeta in `bialgebra`) are index maps:
+one target position, or none, per source position, always with the unit
+grade.  A map is given as a list of targets, or as a tensor of two maps
+that keeps its factors and reads their targets on demand; a tensor with
+a graded factor stores its entries, and where the other factor is a map
+those are the graded factor's grades unchanged, with no quantale
+tensor.  Composition of two maps is list indexing; a tensor of maps on
+the left is gathered block by block, once per distinct target of its
+left factor, and a graded relation passes through a map on its right
+unchanged.  That keeps composites like
 (mu x mu) o (id x swap x id) o (delta x delta) linear in the size of
 their small end rather than in the size of the huge middle object.
 
@@ -270,9 +272,13 @@ class VRel:
                                  if j >= 0})
 
     def entry(self, a, b) -> Grade:
-        """Grade at an element pair (bottom when absent)."""
-        key = (self.source.position(a), self.target.position(b))
-        return self.entries().get(key, self.quantale.bottom)
+        """Grade at an element pair (bottom when absent); a map reads
+        only the target of the pair's row."""
+        i, j = self.source.position(a), self.target.position(b)
+        if self._entries is not None:
+            return self._entries.get((i, j), self.quantale.bottom)
+        q = self.quantale
+        return q.unit if self._targets([i])[0] == j else q.bottom
 
     def scalar(self) -> Grade:
         """The single entry of a unit-to-unit relation."""
@@ -412,7 +418,8 @@ def tensor_rel(r: VRel, s: VRel) -> VRel:
     A tensor of two maps is a map that keeps its factors and reads their
     targets when composition asks for them, since the law checkers' big
     middle objects are tensors of maps.  Any other tensor stores its
-    entries.
+    entries.  With one map factor those are the graded factor's grades
+    unchanged, since tensor(g, unit) == g exactly (see `compose`).
     """
     if r.quantale is not s.quantale:
         raise ShapeMismatchError(
@@ -421,11 +428,25 @@ def tensor_rel(r: VRel, s: VRel) -> VRel:
     source, target = r.source.tensor(s.source), r.target.tensor(s.target)
     if r.is_map() and s.is_map():
         return VRel(source, target, q, factors=(r, s))
-    a, b = r.entries(), s.entries()
+    n_src2, n_tgt2 = len(s.source), len(s.target)
+    a, b = r._entries, s._entries
+    if a is None or b is None:
+        m, graded = (r, b) if a is None else (s, a)
+        if len(m.source) * len(graded) > MAX_ENTRIES:
+            raise EnumerationLimitError(
+                f"tensor of {len(m.source)} by {len(graded)} entries "
+                f"exceeds the entry guard")
+        pairs = [(i, j) for i, j in enumerate(m._targets()) if j >= 0]
+        if a is None:
+            entries = {(i1 * n_src2 + i2, j1 * n_tgt2 + j2): g
+                       for i1, j1 in pairs for (i2, j2), g in b.items()}
+        else:
+            entries = {(i1 * n_src2 + i2, j1 * n_tgt2 + j2): g
+                       for (i1, j1), g in a.items() for i2, j2 in pairs}
+        return VRel(source, target, q, entries=entries)
     if len(a) * len(b) > MAX_ENTRIES:
         raise EnumerationLimitError(
             f"tensor of {len(a)} by {len(b)} entries exceeds the entry guard")
-    n_src2, n_tgt2 = len(s.source), len(s.target)
     tensor, bottom = q.tensor, q.bottom
     entries = {}
     for (i1, j1), g1 in a.items():
@@ -450,10 +471,21 @@ def coname(r: VRel) -> VRel:
     """The coname of r: X -> Y bent into an effect X x Y -> I.
 
     Each entry (x, y) of r moves to the pair (x, y) unchanged, which is
-    (r x id(Y)) ; epsilon(Y) entry for entry."""
+    (r x id(Y)) ; epsilon(Y) entry for entry.  The coname of a map is a
+    map: each (x, t(x)) goes to the unit point, every other pair nowhere."""
     n = len(r.target)
-    return VRel(r.source.tensor(r.target), IndexSet.unit(), r.quantale,
-                entries={(i * n + j, 0): g for (i, j), g in r.entries().items()})
+    source = r.source.tensor(r.target)
+    if not r.is_map():
+        return VRel(source, IndexSet.unit(), r.quantale,
+                    entries={(i * n + j, 0): g for (i, j), g in r._entries.items()})
+    if len(source) > MAX_ENTRIES:
+        raise EnumerationLimitError(
+            f"coname of {len(r.source)}x{n} positions exceeds the entry guard")
+    targets = [-1] * len(source)
+    for i, j in enumerate(r._targets()):
+        if j >= 0:
+            targets[i * n + j] = 0
+    return VRel(source, IndexSet.unit(), r.quantale, index_map=targets)
 
 
 def epsilon(s: IndexSet, q: Quantale) -> VRel:
@@ -485,9 +517,11 @@ def include(r: CrispRel, q: Quantale) -> VRel:
     return VRel(r.source, r.target, q, entries=entries)
 
 
-# The snake composites themselves are cheap: 15 ms at n = 64 and 1.7 s
-# at n = 512 (Python 3.11, 2 vCPUs), most of it storing the n^2 entries
-# of each tensor with a cup or a cap.  The cap bounds the object that
+# The snake composites themselves are cheap: 5.1-5.6 ms at n = 64 and
+# 0.47-0.51 s at n = 512 (Python 3.11, 2 vCPUs, median of 30 and of 3
+# calls), split between storing the n^2 entries of the cap's tensor with
+# the identity and reading the targets of the cup's tensor, a map that
+# is never stored, at those n^2 rows.  The guard bounds the object that
 # `quantrel laws` checks: there `check_monoid` composes maps of n^3
 # positions, gathering a tensor of maps on the left block by block, once
 # per distinct target of its left factor: 22 ms and a 25 MB process peak

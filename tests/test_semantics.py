@@ -427,6 +427,59 @@ def test_exhaustive_matches_brute_force_on_random_models():
             pytest.approx(best, abs=1e-12)
 
 
+@pytest.mark.parametrize("quantale", ["godel", "product", "lukasiewicz", "boolean"])
+def test_exhaustive_bare_forms_equal_diagram_order_brute_force(quantale):
+    """BareIntransitive and BareTransitive over every subset (27 per wire,
+    8 over the Boolean quantale) equal, with ==, a loop over the subsets
+    that tensors the graded factors as the diagram meets them: np ⊗ vp
+    at one subset, which the cup joins, and np, v, np' at (A, B).
+
+    The full subset gives every proportion state the unit, so over the
+    real quantales the join is the unit unless a denotation is empty
+    ("nobody"); the Boolean point states score [np = vp]."""
+    from quantrel.fuzzyset import image_grades, proportion_grades
+    from quantrel.sampling import randomize_model
+
+    crisp = quantale == "boolean"
+    data = _tiny_lexicon([0, 0.5, 1])
+    data["universe"] = ["a", "b", "c"]
+    template = qr.load_lexicon({**data, "quantale": "godel" if crisp else quantale,
+                                "nps": {"john": {"a": 1.0}, "mary": {"c": 0.5}}})
+    rng = random.Random(17)
+    members = list(itertools.product((0.0, 1.0) if crisp else (0.0, 0.5, 1.0), repeat=3))
+    values = []
+    for _ in range(6):
+        model = randomize_model(template, rng, crisp=crisp)
+        model.nps["nobody"] = qr.FuzzySet(model.universe, [0.0] * 3)
+        q, t = model.quantale, model.threshold
+        assert len(model.powerset().index) == len(members)
+
+        def state(b, a):
+            if crisp:
+                return q.unit if b == a else q.bottom
+            p = proportion_grades(b, a, t)
+            return q.bottom if p is None else p
+
+        see = model.verbs["see"].rows
+        run = model.vps["run"].as_tuple()
+        for subj in ("john", "mary", "nobody"):
+            np_ = model.nps[subj].as_tuple()
+            best = max(q.tensor(state(a, np_), state(a, run)) for a in members)
+            got = qr.eval_categorical(_tree(f"{subj} run", model), model, "exhaustive")
+            assert got == best
+            values.append(got)
+            for obj in ("john", "mary", "nobody"):
+                obj_ = model.nps[obj].as_tuple()
+                best = max(q.tensor(q.tensor(state(a, np_), state(b, image_grades(see, a))),
+                                    state(b, obj_))
+                           for a in members for b in members)
+                got = qr.eval_categorical(_tree(f"{subj} see {obj}", model), model,
+                                          "exhaustive")
+                assert got == best
+                values.append(got)
+    assert any(v == q.unit for v in values) and any(v == q.bottom for v in values)
+
+
 def _object_lexicon(quantale):
     """Three elements and four grades: 64 graded subsets per wire."""
     return {
@@ -786,6 +839,23 @@ def test_exhaustive_work_guard():
     tree = _tree("john see several men", model)
     with pytest.raises(qr.EnumerationLimitError):
         qr.eval_categorical(tree, model, "exhaustive")
+
+
+def test_exhaustive_bare_forms_stop_at_the_cup_entry_guard():
+    """Over 11 crisp entities (2048 subsets) the work guard admits a bare
+    sentence, but its cup, an index map of 2048^2 positions, exceeds the
+    entry guard, so exhaustive mode refuses it; restricted mode, over the
+    denotations alone, still scores it."""
+    universe = [f"u{i}" for i in range(11)]
+    model = qr.load_lexicon({
+        "universe": universe, "quantale": "boolean", "grades": [0, 1],
+        "nps": {"john": {"u0": 1}}, "vps": {"sneeze": {"u0": 1, "u3": 1}},
+    })
+    tree = _tree("john sneeze", model)
+    assert len(model.powerset().index) ** 2 <= qr.semantics.EXHAUSTIVE_WORK_GUARD
+    with pytest.raises(qr.EnumerationLimitError, match="2048x2048"):
+        qr.eval_categorical(tree, model, "exhaustive")
+    assert qr.eval_categorical(tree, model, "restricted") == 0.0
 
 
 def test_degree_of_truth_report(animals):

@@ -202,6 +202,40 @@ def test_snake_identities():
             assert qr.check_snake(s, q)
 
 
+@pytest.mark.parametrize("q", ALL, ids=lambda q: q.name)
+def test_snake_composites_see_a_broken_cup_or_cap(q):
+    """Each snake side, built as `snake_identities` builds it, composes a
+    stored cap tensor against a tensor of maps holding the cup, and is
+    the identity; with one diagonal target of the cup set to -1, or one
+    grade of the cap lowered, it differs from the identity there."""
+    s = _sets(3)[0]
+    x = s.elements[1]
+    one, cup, cap = qr.identity(s, q), qr.epsilon(s, q), qr.eta(s, q)
+    targets = list(cup._targets())
+    targets[s.position(x) * (len(s) + 1)] = -1
+    broken_cup = qr.VRel(cup.source, cup.target, q, index_map=targets)
+    low = q.bottom if q is qr.BOOLEAN else 0.5
+    grades = {k: low if k == (0, s.position(x) * (len(s) + 1)) else g
+              for k, g in cap.entries().items()}
+    broken_cap = qr.VRel(cap.source, cap.target, q,
+                         entries={k: g for k, g in grades.items() if g != q.bottom})
+
+    def left(eta, eps):
+        return qr.compose(qr.tensor_rel(eta, one), qr.tensor_rel(one, eps))
+
+    def right(eta, eps):
+        return qr.compose(qr.tensor_rel(one, eta), qr.tensor_rel(eps, one))
+
+    assert qr.tensor_rel(one, cup).is_map() and qr.tensor_rel(cup, one).is_map()
+    for side in (left, right):
+        assert side(cap, cup).equal(one)
+        for eta, eps, grade in ((cap, broken_cup, q.bottom), (broken_cap, cup, low)):
+            composite = side(eta, eps)
+            assert not composite.equal(one)
+            assert composite.entry(x, x) == grade
+            assert all(composite.entry(y, y) == q.unit for y in s.elements if y != x)
+
+
 def test_snake_guard():
     big = qr.IndexSet([f"s{i}" for i in range(65)])
     with pytest.raises(qr.EnumerationLimitError):
@@ -232,6 +266,69 @@ def test_include_functoriality_random():
 
 
 # -- swap ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("q", ALL, ids=lambda q: q.name)
+def test_cup_and_coname_of_a_map_are_maps(q):
+    """The cup, and the coname of a map (a list with -1 rows or a tensor
+    of maps), is a map with the entries of the stored coname."""
+    rng = random.Random(41)
+    a, b, c = _sets(3, 2, 3)
+    assert qr.epsilon(a, q).is_map()
+    partial = qr.VRel(a, b, q, index_map=[1, -1, 0])
+    for r in (qr.identity(a, q), partial, _random_map(a.tensor(b), c, q, rng),
+              qr.tensor_rel(partial, qr.swap(b, c, q)),
+              qr.tensor_rel(qr.identity(c, q), partial)):
+        conamed = qr.coname(r)
+        assert conamed.is_map()
+        assert conamed.entries() == qr.coname(_stored(r)).entries()
+
+
+def test_cup_entry_guard():
+    """A cup of more than MAX_ENTRIES positions is refused before its
+    target list is built: 1414^2 positions fit, 1415^2 do not."""
+    import tracemalloc
+
+    assert 1414 ** 2 <= qr.vrel.MAX_ENTRIES < 1415 ** 2
+    assert qr.epsilon(qr.IndexSet(range(1414)), qr.GODEL).support() == 1414
+    big = qr.IndexSet(range(1415))
+    for q in ALL:
+        tracemalloc.start()
+        try:
+            with pytest.raises(qr.EnumerationLimitError, match="1415x1415"):
+                qr.epsilon(big, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("q", ALL, ids=lambda q: q.name)
+def test_tensor_with_one_map_factor_copies_grades(q):
+    """A tensor of a map and a graded relation, in either order, stores
+    the graded factor's grades unchanged and calls no quantale tensor;
+    its entries are the q.tensor product all the same.  The guard counts
+    the map's source positions times the graded entries and fires first."""
+    calls = []
+    counting = qr.Quantale("counting", lambda x, y: calls.append((x, y)) or q.tensor(x, y),
+                           q.carrier)
+    rng = random.Random(43)
+    a, b, c = _sets(2, 3, 2)
+    graded = _random_vrel(a, b, counting, rng, density=1.0)
+    partial = qr.VRel(c, a, counting, index_map=[1, -1])
+    for m in (partial, qr.tensor_rel(qr.swap(a, c, counting), partial)):
+        for r, s in ((m, graded), (graded, m)):
+            product = qr.tensor_rel(r, s)
+            assert calls == [] and not product.is_map()
+            want = {(i1 * len(s.source) + i2, j1 * len(s.target) + j2): q.tensor(g1, g2)
+                    for (i1, j1), g1 in r.entries().items()
+                    for (i2, j2), g2 in s.entries().items()}
+            assert product.entries() == {k: g for k, g in want.items() if g != q.bottom}
+    big = qr.IndexSet(range(2_000))
+    column = qr.VRel(big, c, counting, entries={(i, 0): 0.5 for i in range(1_001)})
+    for pair in ((qr.identity(big, counting), column), (column, qr.identity(big, counting))):
+        with pytest.raises(qr.EnumerationLimitError, match="2000 by 1001"):
+            qr.tensor_rel(*pair)
 
 
 def test_swap_involution():
@@ -312,6 +409,23 @@ def test_map_forms_match_stored_entries(q):
             assert qr.compose(r, fresh()).entries() == qr.compose(r_ref, ref).entries()
         for s, s_ref in outs:
             assert qr.compose(fresh(), s).entries() == qr.compose(ref, s_ref).entries()
+
+
+@pytest.mark.parametrize("q", ALL, ids=lambda q: q.name)
+def test_entry_of_a_map_reads_one_target(q, monkeypatch):
+    """entry() on a map with a -1 row, a tensor of maps and the cup
+    equals the entries() view at every element pair, without building
+    that view."""
+    a, b = _sets(3, 2)
+    partial = qr.VRel(a, b, q, index_map=[1, -1, 0])
+    cases = [partial, qr.tensor_rel(partial, qr.swap(b, a, q)), qr.epsilon(a, q)]
+    wants = [{(x, y): r.entries().get((i, j), q.bottom)
+              for i, x in enumerate(r.source.elements)
+              for j, y in enumerate(r.target.elements)} for r in cases]
+    assert all(any(g == q.bottom for g in want.values()) for want in wants)
+    monkeypatch.setattr(qr.VRel, "entries", None)
+    for r, want in zip(cases, wants):
+        assert {pair: r.entry(*pair) for pair in want} == want
 
 
 @pytest.mark.parametrize("q", ALL, ids=lambda q: q.name)
