@@ -5,7 +5,7 @@ cardinality, scaling, and the max-min image of a graded binary relation.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import EmptyRestrictorError, QuantrelError, ShapeMismatchError
 from .vrel import CrispRel, IndexSet
@@ -139,14 +139,23 @@ def intersect(a: FuzzySet, b: FuzzySet) -> FuzzySet:
     return FuzzySet(a.universe, map(min, a.grades, b.grades))
 
 
+def proportion_row(bs: Iterable[Sequence[float]], a: Sequence[float],
+                   threshold: float) -> Optional[List[float]]:
+    """Relative cardinality of each grade tuple of bs in grade tuple a,
+    sigma(a & b) / sigma(a), with sigma(a) summed once; None when
+    sigma(a) is zero.  This is the one proportion kernel."""
+    denom = sum(g for g in a if g >= threshold)
+    if denom == 0.0:
+        return None
+    return [sum(m for m in map(min, a, b) if m >= threshold) / denom for b in bs]
+
+
 def proportion_grades(b: Sequence[float], a: Sequence[float],
                       threshold: float) -> Optional[float]:
     """Relative cardinality of grade tuple b in grade tuple a:
     sigma(a & b) / sigma(a), or None when sigma(a) is zero."""
-    denom = sum(g for g in a if g >= threshold)
-    if denom == 0.0:
-        return None
-    return sum(m for m in map(min, a, b) if m >= threshold) / denom
+    row = proportion_row((b,), a, threshold)
+    return None if row is None else row[0]
 
 
 def proportion(b: FuzzySet, a: FuzzySet, threshold: float = 0.0) -> float:

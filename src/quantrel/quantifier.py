@@ -13,11 +13,11 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Collection, Optional, Sequence, Tuple, Union
+from typing import Collection, List, Optional, Sequence, Tuple, Union
 
 from .errors import (EmptyRestrictorError, EnumerationLimitError,
                      EvaluationError, QuantrelError)
-from .fuzzyset import FuzzySet, proportion_grades, scale
+from .fuzzyset import FuzzySet, proportion_row, scale
 from .quantale import Grade, Quantale
 from .vrel import MAX_ENTRIES, IndexSet, VRel
 
@@ -139,9 +139,38 @@ def apply_distribution(d: Determiner, p: float) -> Grade:
     return v0 + (p - p0) * (v1 - v0) / (p1 - p0)
 
 
+def graded_row(d: Determiner, a: Sequence[float], bs: Sequence[Sequence[float]],
+               threshold: float = 0.0) -> List[Grade]:
+    """Grade the restrictor a against each scope in bs, as `graded_entry`
+    grades one pair.
+
+    A graded determiner sums sigma(a) once for the row
+    (`proportion_row`).  "exactly" refuses the row if a or any scope is
+    graded.
+    """
+    if isinstance(d, FuzzyQuantifier):
+        ps = proportion_row(bs, a, threshold)
+        if ps is None:
+            return [0.0] * len(bs)
+        return [apply_distribution(d, p) for p in ps]
+    if d.kind == "every":
+        return [1.0 if all(x <= y for x, y in zip(a, b) if x >= threshold) else 0.0
+                for b in bs]
+    if d.kind == "some":
+        return [1.0 if any(m > 0.0 and m >= threshold for m in map(min, a, b)) else 0.0
+                for b in bs]
+    if d.kind == "no":
+        return [1.0 if all(min(x, y) == 0.0 for x, y in zip(a, b)) else 0.0 for b in bs]
+    if not all(g in (0.0, 1.0) for g in itertools.chain(a, *bs)):
+        raise EvaluationError("'exactly' requires crisp membership tuples")
+    return [1.0 if sum(1 for x, y in zip(a, b) if x == y == 1.0) == d.n else 0.0
+            for b in bs]
+
+
 def graded_entry(d: Determiner, a: Sequence[float], b: Sequence[float],
                  threshold: float = 0.0) -> Grade:
-    """Grade the pair of membership tuples (restrictor a, scope b).
+    """Grade the pair of membership tuples (restrictor a, scope b): the
+    one-scope case of `graded_row`.
 
     Graded determiners score the proportion of b inside a, with bottom
     when a has sigma-count zero.  Crisp determiners use their set
@@ -150,18 +179,7 @@ def graded_entry(d: Determiner, a: Sequence[float], b: Sequence[float],
     sigma-count does, "no" an empty pointwise minimum, and "exactly"
     counts common members of crisp tuples.
     """
-    if isinstance(d, FuzzyQuantifier):
-        p = proportion_grades(b, a, threshold)
-        return 0.0 if p is None else apply_distribution(d, p)
-    if d.kind == "every":
-        return 1.0 if all(x <= y for x, y in zip(a, b) if x >= threshold) else 0.0
-    if d.kind == "some":
-        return 1.0 if any(m > 0.0 and m >= threshold for m in map(min, a, b)) else 0.0
-    if d.kind == "no":
-        return 1.0 if all(min(x, y) == 0.0 for x, y in zip(a, b)) else 0.0
-    if not all(g in (0.0, 1.0) for g in itertools.chain(a, b)):
-        raise EvaluationError("'exactly' requires crisp membership tuples")
-    return 1.0 if sum(1 for x, y in zip(a, b) if x == y == 1.0) == d.n else 0.0
+    return graded_row(d, a, (b,), threshold)[0]
 
 
 def require_quantale(d: Determiner, q: Quantale) -> None:
@@ -181,8 +199,10 @@ def quantifier_vrel(d: Determiner, source: IndexSet, target: IndexSet,
     `pairs` lists the (source position, target position) pairs to grade,
     each once; by default every pair is graded.  An entry outside
     `pairs` is left bottom, and an entry inside it is the same
-    `graded_entry` value the full table holds.  The entry guard counts
-    the pairs graded.
+    `graded_entry` value the full table holds.  The pairs are graded a
+    restrictor at a time, by one `graded_row` call per restrictor, so
+    its sigma-count is summed once.  The entry guard counts the pairs
+    graded.
 
     The exhaustive categorical join grades only the pairs it reaches:
     the determiner meets the merged scope A∧B with its restrictor A, so
@@ -195,13 +215,18 @@ def quantifier_vrel(d: Determiner, source: IndexSet, target: IndexSet,
         raise EnumerationLimitError(
             f"determiner table of {n_pairs} pairs exceeds the entry guard")
     if pairs is None:
-        pairs = itertools.product(range(len(source)), range(len(target)))
+        rows = dict.fromkeys(range(len(source)), range(len(target)))
+    else:
+        rows = {}
+        for i, j in pairs:
+            rows.setdefault(i, []).append(j)
     restrictors, scopes = source.elements, target.elements
     entries = {}
-    for i, j in pairs:
-        g = graded_entry(d, restrictors[i], scopes[j], threshold)
-        if g != q.bottom:
-            entries[(i, j)] = g
+    for i, js in rows.items():
+        grades = graded_row(d, restrictors[i], [scopes[j] for j in js], threshold)
+        for j, g in zip(js, grades):
+            if g != q.bottom:
+                entries[(i, j)] = g
     return VRel(source, target, q, entries=entries)
 
 

@@ -43,12 +43,18 @@ naturality of swap (see `compile_pipeline`).  Outside the doubly
 quantified form no layer holds more than three subset wires, and values
 are the same bit for bit.
 
-A determiner is graded only at the (restrictor, scope) pairs the join
-reaches, never over all of P x P: the conservative pairs (A, A∧B), as
-its scope wire merges its restrictor with the scope.  Each layer is
-built after the state composed so far, which `compose` reads only at
-its support (see `_pipeline_value`); each reached entry is the one the
-full table holds, so values are the same bit for bit.
+The composed state is a list of factors, one per group of wires that
+no atom has joined yet, contracted by a plan built per form at import
+(`_contraction_plan`): a copy, identity or swap re-keys only the factor
+it acts on, and a merge, cup, verb or determiner layer first joins all
+factors in wire order.  A determiner is graded only at the (restrictor,
+scope) pairs the joined state reaches, never over all of P x P: the
+conservative pairs (A, A∧B), as its scope wire merges its restrictor
+with the scope.  State, verb and determiner tables are graded a
+restrictor's row at a time, so each sigma-count is summed once.  Each
+reached entry is the one the full table holds, and the value is the
+same bit for bit as composing the whole state layer by layer (see
+`_pipeline_value`).
 """
 
 from __future__ import annotations
@@ -62,7 +68,7 @@ from .bialgebra import GradeLattice, PowersetObject, delta, mu
 from .errors import (EnumerationLimitError, EvaluationError, QuantrelError,
                      ShapeMismatchError)
 from .fuzzyset import (FuzzyRelation, FuzzySet, image_grades, proportion,
-                       proportion_grades, verb_image)
+                       proportion_row, verb_image)
 from .grammar import ParseTree, SentenceForm, classify, parse, tokenize
 from .quantale import Quantale
 from .quantifier import (Determiner, FuzzyQuantifier, apply_distribution,
@@ -348,17 +354,24 @@ def compile_pipeline(form: SentenceForm) -> MorphismPipeline:
     the bound subset variables.
 
     Each layout is the sentence's diagram rewritten by the snake
-    identities into an equal narrow one (see the module docstring), and
-    each state enters just before the layer that first consumes its
-    wire.  Swaps come after merges, by three laws in diagram order:
+    identities into an equal narrow one (see the module docstring).
+    Swaps come after merges, by three laws in diagram order:
     delta ; sigma = delta, sigma ; mu = mu, and naturality of sigma.
     So QuantObject puts the object state and its copy left of id(B) and
     merges (C2, B), with no swap, and DoubleQuant merges (A2, B) and
     (D, C1) first, then swaps the merged G' past the restrictor C2 once.
-    The widest boundaries stay 3 and 6 wires.  Graded factors meet in
-    the diagram's order (np, v, np', d, d'): the product and Lukasiewicz
-    float tensors are not associative, so that order keeps values bit
-    for bit.
+    The widest boundaries stay 3 and 6 wires.
+
+    The evaluator keeps each state, and its copy, a factor of its own
+    until the first later layer that merges, cups, or applies a verb or
+    a determiner, which joins every factor (`_contraction_plan`): the
+    first layer of BareIntransitive, the verb of the transitive forms,
+    the merges of QuantSubject, QuantObject and DoubleQuant, and the cup
+    of BareTransitive.  Graded factors meet in the diagram's order (np,
+    v, np', d, d'): the product and Lukasiewicz float tensors are not
+    associative, so that order keeps values bit for bit.  QuantObject
+    joins np' left of the verb's image, which the diagram meets first,
+    and the tensor is exactly commutative on all four quantales.
     """
     if form == SentenceForm.BARE_INTRANSITIVE:
         layers = (
@@ -406,21 +419,71 @@ def compile_pipeline(form: SentenceForm) -> MorphismPipeline:
 _PIPELINES = {form: compile_pipeline(form) for form in SentenceForm}
 
 
+# Atoms a layer may apply one factor at a time: a state starts a factor,
+# and copies, identities and swaps are injective maps, which only move
+# the grades of the factor they act on.
+_FACTORWISE = frozenset({"state", "verb_state", "delta", "id", "sigma"})
+
+
+def _contraction_plan(pipeline: MorphismPipeline) -> tuple:
+    """The steps `_pipeline_value` contracts the pipeline by, one per
+    layer: (layer, groups).
+
+    The composed state is a list of factors, one per group of wires that
+    no atom has joined yet, in wire order.  A layer acts factor by
+    factor when all its atoms are in `_FACTORWISE` and the consecutive
+    atoms that read one factor consume exactly its wires.  Its groups
+    then list, per factor after the layer, (None, (state,)) for a new
+    state, (k, ()) for factor k touched only by identities, and (k,
+    atoms) for factor k composed with the tensor of its atoms.  Every
+    other layer has groups None: it joins all factors.  A plan that does
+    not end in one factor without wires is a construction bug.
+    """
+    factors: List[Tuple[str, ...]] = []
+    plan = []
+    for layer in pipeline.layers:
+        owner = {w: k for k, wires in enumerate(factors) for w in wires}
+        groups: List[Tuple[Optional[int], List[Atom]]] = []
+        for atom in layer:
+            k = owner[atom.wires_in[0]] if atom.wires_in else None
+            if k is not None and groups and groups[-1][0] == k:
+                groups[-1][1].append(atom)
+            else:
+                groups.append((k, [atom]))
+        consumed = [tuple(w for atom in atoms for w in atom.wires_in)
+                    for k, atoms in groups if k is not None]
+        if consumed == factors and all(atom.kind in _FACTORWISE for atom in layer):
+            plan.append((layer, tuple(
+                (k, () if all(atom.kind == "id" for atom in atoms) else tuple(atoms))
+                for k, atoms in groups)))
+            factors = [tuple(w for atom in atoms for w in atom.wires_out)
+                       for _, atoms in groups]
+        else:
+            plan.append((layer, None))
+            factors = [tuple(w for atom in layer for w in atom.wires_out)]
+    if factors != [()]:
+        raise ShapeMismatchError(
+            f"contraction plan of {pipeline.form} leaves factors {factors}")
+    return tuple(plan)
+
+
+_PLANS = {form: _contraction_plan(pipeline) for form, pipeline in _PIPELINES.items()}
+
+
 # -- lexical state relations ------------------------------------------------
 
 
 def _state_row(fst: Tuple[float, ...], target: IndexSet, q: Quantale,
                threshold: float) -> List[Tuple[int, float]]:
     """The non-bottom (position, grade) entries of the state of grade
-    tuple fst over target, as `lexical_state` documents."""
+    tuple fst over target, as `lexical_state` documents: one
+    `proportion_row` over target, so sigma(fst) is summed once."""
     if q.carrier == "boolean":
         return [(target.position(fst), q.unit)] if fst in target else []
-    row = []
-    for j, b in enumerate(target.elements):
-        p = proportion_grades(b, fst, threshold)
-        if p is not None and p != 0.0:
-            row.append((j, p))
-    return row
+    row = proportion_row(target.elements, fst, threshold)
+    if row is None:
+        return []
+    return [(j, p) for j, p in enumerate(row) if p != 0.0]
 
 
 def lexical_state(fs: FuzzySet, target: IndexSet, q: Quantale,
@@ -503,29 +566,56 @@ def _atom_vrel(atom: Atom, model: Model, wires: Dict[str, IndexSet],
     raise ShapeMismatchError(f"unknown pipeline atom {atom.kind!r}")
 
 
-def _pipeline_value(pipeline: MorphismPipeline, model: Model,
+def _pipeline_value(form: SentenceForm, model: Model,
                     wires: Dict[str, IndexSet], den: _Denotations) -> float:
-    """The scalar of the pipeline's layers composed left to right.
+    """The scalar of the form's pipeline, contracted by its plan
+    (`_contraction_plan`).
 
-    Each layer is built after the state composed so far, a relation
-    from the unit, because `compose(state, layer)` reads the layer only
-    at the rows in the state's support.  A det atom is therefore graded
-    only at the (restrictor, scope) pairs the join reaches, each factor
-    of a layer at its digit of each reached row (row-major, as
-    `tensor_rel` lays them out).  Those are conservative pairs
-    (A, A∧B), since the scope wire is the merge of the restrictor with
-    the scope.  Every reached row holds the same entries it would in the
-    full table, so the value is the same bit for bit.
+    The composed state is a list of factors, relations from the unit.
+    A layer of states, copies, identities and swaps acts factor by
+    factor: a state starts a factor, a factor touched only by identities
+    passes through untouched, and any other factor is composed with the
+    tensor of its own atoms, so a copy re-keys only the factor it copies.
+    Every other layer (a merge, a cup, a verb or a determiner) first
+    joins all factors with `tensor_rel`, left to right in wire order,
+    and composes the joined state with the whole layer.
+
+    `compose(state, layer)` reads the layer only at the rows in the
+    state's support, and each layer is built after the state it meets.
+    A det atom is therefore graded only at the (restrictor, scope) pairs
+    the join reaches, read from the joined state at its digit of each
+    reached row (row-major, as `tensor_rel` lays them out).  Those are
+    conservative pairs (A, A∧B), since the scope wire is the merge of
+    the restrictor with the scope.
+
+    The value is the same bit for bit as composing the joined state
+    layer by layer: copies, identities and swaps are injective maps,
+    which only move grades, graded factors still meet in the diagram's
+    order, and the one other law used is the exact commutativity of the
+    tensor on all four quantales (QuantObject's np' factor is joined
+    left of the B factor that the diagram composes first).
     """
-    state = None
-    for layer in pipeline.layers:
-        rels, stride = [], 1
-        for atom in reversed(layer):
-            rels.append(_atom_vrel(atom, model, wires, den, state, stride))
-            stride *= len(rels[-1].source)
-        rel = reduce(tensor_rel, reversed(rels))
-        state = rel if state is None else compose(state, rel)
-    return float(state.scalar())
+    factors: List[VRel] = []
+    for layer, groups in _PLANS[form]:
+        if groups is None:
+            state = reduce(tensor_rel, factors)
+            rels, stride = [], 1
+            for atom in reversed(layer):
+                rels.append(_atom_vrel(atom, model, wires, den, state, stride))
+                stride *= len(rels[-1].source)
+            factors = [compose(state, reduce(tensor_rel, reversed(rels)))]
+            continue
+        out = []
+        for k, atoms in groups:
+            rels = [_atom_vrel(atom, model, wires, den) for atom in atoms]
+            if k is None:
+                out.append(rels[0])
+            elif rels:
+                out.append(compose(factors[k], reduce(tensor_rel, rels)))
+            else:
+                out.append(factors[k])
+        factors = out
+    return float(factors[0].scalar())
 
 
 def _restricted_wires(den: _Denotations) -> Dict[str, IndexSet]:
@@ -576,15 +666,18 @@ def eval_categorical(tree: ParseTree, model: Model, mode: str = "restricted") ->
 
     if mode == "exhaustive":
         p = model.powerset()
-        # The layered join enumerates one subset per wire crossing a
-        # layer boundary, so the widest boundary sets its cost: 2 wires
+        # The join enumerates at most one subset per wire crossing a
+        # layer boundary, so the widest boundary bounds its cost: 2 wires
         # for the bare forms, 3 for QuantSubject and QuantObject, 6 for
-        # DoubleQuant.  The guard thus admits |P| up to 4472, 271 and
-        # 16 subsets.  The bare forms stop earlier, at 1414 subsets: their
-        # cup is an index map of |P|^2 positions, which `vrel.coname`
-        # refuses past MAX_ENTRIES before building it (over the real
-        # quantales the state tensor reaches its own entry guard near
-        # 1600 subsets anyway).
+        # DoubleQuant.  The bound is looser than when every layer re-keyed
+        # the whole state: a copy or identity now re-keys only its own
+        # factor, and the widest state is built where the factors are
+        # joined.  The guard admits |P| up to 4472, 271 and 16 subsets.
+        # The bare forms stop earlier, at 1414 subsets: their cup is an
+        # index map of |P|^2 positions, which `vrel.coname` refuses past
+        # MAX_ENTRIES before building it (over the real quantales the
+        # state tensor reaches its own entry guard near 1600 subsets
+        # anyway).
         width = max(sum(len(atom.wires_out) for atom in layer)
                     for layer in pipeline.layers)
         work = len(p) ** width
@@ -602,13 +695,13 @@ def eval_categorical(tree: ParseTree, model: Model, mode: str = "restricted") ->
                  for layer in pipeline.layers
                  for atom in layer
                  for w in atom.wires_in + atom.wires_out}
-        return _pipeline_value(pipeline, model, wires, den)
+        return _pipeline_value(form, model, wires, den)
 
     if form == SentenceForm.DOUBLE_QUANT:
         # Operational reading; see the module docstring.
         return _operational_double_quant(den)
 
-    return _pipeline_value(pipeline, model, _restricted_wires(den), den)
+    return _pipeline_value(form, model, _restricted_wires(den), den)
 
 
 # -- front door -------------------------------------------------------------

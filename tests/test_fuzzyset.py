@@ -206,3 +206,35 @@ def test_verb_image_bounded_by_subject_peak(grades):
 def test_crisp_sigma_count_is_cardinality():
     crisp = qr.FuzzySet.from_support(U5, ["u1", "u4", "u5"])
     assert qr.sigma_count(crisp) == 3.0
+
+
+@st.composite
+def _restrictor_and_scopes(draw):
+    """A restrictor of n = 1..30 grades (all zero in some draws), up to 8
+    scopes over the same elements, and a sigma-count threshold."""
+    n = draw(st.integers(min_value=1, max_value=30))
+    grade = st.sampled_from((0.0, 0.25, 0.3, 0.5, 1.0)) | st.floats(
+        min_value=0, max_value=1, allow_nan=False)
+    tuples = st.lists(grade, min_size=n, max_size=n).map(tuple)
+    a = draw(tuples | st.just((0.0,) * n))
+    bs = draw(st.lists(tuples, max_size=8))
+    return a, bs, draw(st.sampled_from((0.0, 0.3, 1.0)))
+
+
+@given(_restrictor_and_scopes())
+def test_proportion_row_equals_its_one_scope_case(case):
+    """The row kernel sums sigma(a) once, and each of its proportions is
+    the one `proportion_grades` gives and the one a single pair's
+    sigma(a & b) / sigma(a) gives, repr for repr; a restrictor of
+    sigma-count zero gives None."""
+    from quantrel.fuzzyset import proportion_grades, proportion_row
+    a, bs, t = case
+    row = proportion_row(bs, a, t)
+    one = [proportion_grades(b, a, t) for b in bs]
+    denom = sum(g for g in a if g >= t)
+    if denom == 0.0:
+        assert row is None
+        assert all(p is None for p in one)
+    else:
+        pairs = [sum(m for m in map(min, a, b) if m >= t) / denom for b in bs]
+        assert repr(row) == repr(one) == repr(pairs)

@@ -1,5 +1,6 @@
 import itertools
 import random
+from functools import reduce
 
 import pytest
 
@@ -593,21 +594,208 @@ def test_determiner_graded_on_state_support_composes_like_full_table(q):
 def test_exhaustive_quant_subject_grades_only_conservative_pairs(monkeypatch):
     """At |P| = 64 the join reaches the determiner only at pairs
     (A, A meet B): each is graded once, with the scope below the
-    restrictor, and far fewer than the 4096 pairs of the full table."""
+    restrictor, and far fewer than the 4096 pairs of the full table.
+    The determiner table grades a restrictor's row at a time, so the
+    pairs are read off the `graded_row` calls."""
     model = qr.load_lexicon(_object_lexicon("godel"))
     calls = []
-    graded_entry = qr.quantifier.graded_entry
+    graded_row = qr.quantifier.graded_row
 
-    def counting(d, a, b, threshold=0.0):
-        calls.append((a, b))
-        return graded_entry(d, a, b, threshold)
+    def counting(d, a, bs, threshold=0.0):
+        calls.extend((a, b) for b in bs)
+        return graded_row(d, a, bs, threshold)
 
-    monkeypatch.setattr(qr.quantifier, "graded_entry", counting)
+    monkeypatch.setattr(qr.quantifier, "graded_row", counting)
     value = qr.eval_categorical(_tree("several men run", model), model, "exhaustive")
     assert 0.0 < value <= 1.0
     assert all(all(y <= x for x, y in zip(a, b)) for a, b in calls)
     assert len(set(calls)) == len(calls)
     assert 0 < len(calls) <= 1000
+
+
+# -- layered vs. factorized contraction --------------------------------------
+
+
+def test_contraction_plans_join_only_where_atoms_meet():
+    """Each form joins its factors at its merges, cups, verbs and
+    determiners and nowhere else, and a swap across two factors makes
+    its layer a join."""
+    from quantrel.semantics import _PLANS, _contraction_plan, _eps, _sigma, _state
+    steps = {form: "".join("j" if groups is None else "f" for _, groups in plan)
+             for form, plan in _PLANS.items()}
+    assert steps == {
+        qr.SentenceForm.BARE_INTRANSITIVE: "fj",
+        qr.SentenceForm.QUANT_SUBJECT: "ffjj",
+        qr.SentenceForm.BARE_TRANSITIVE: "fjfj",
+        qr.SentenceForm.QUANT_OBJECT: "fjffjj",
+        qr.SentenceForm.DOUBLE_QUANT: "ffjfj",
+    }
+    crossing = qr.MorphismPipeline(qr.SentenceForm.BARE_INTRANSITIVE, (
+        (_state("np", "A"), _state("vp", "B")), (_sigma("A", "B"),), (_eps("B", "A"),)))
+    crossing.check_types()
+    assert [groups is None for _, groups in _contraction_plan(crossing)] == \
+        [False, True, True]
+
+
+def _layered_value(form, model, wires, den):
+    """The reference route: every layer built after the whole composed
+    state and composed with it, one layer at a time, with no factors."""
+    from quantrel.semantics import _PIPELINES, _atom_vrel
+    state = None
+    for layer in _PIPELINES[form].layers:
+        rels, stride = [], 1
+        for atom in reversed(layer):
+            rels.append(_atom_vrel(atom, model, wires, den, state, stride))
+            stride *= len(rels[-1].source)
+        rel = reduce(qr.tensor_rel, reversed(rels))
+        state = rel if state is None else qr.compose(state, rel)
+    return float(state.scalar())
+
+
+def _value_or_error(tree, model, mode):
+    try:
+        return qr.eval_categorical(tree, model, mode)
+    except qr.QuantrelError as err:
+        return f"{type(err).__name__}: {err}"
+
+
+def _routes_agree(monkeypatch, model, sentences, mode):
+    """Evaluate each sentence by the factorized evaluator and by
+    `_layered_value`, require == (or the same error) and return the
+    factorized values with the number of layered pipelines run."""
+    trees = [_tree(s, model) for s in sentences]
+    factorized = [_value_or_error(tree, model, mode) for tree in trees]
+    layered_runs = []
+
+    def layered(*args):
+        layered_runs.append(args[0])
+        return _layered_value(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(qr.semantics, "_pipeline_value", layered)
+        layered = [_value_or_error(tree, model, mode) for tree in trees]
+    for sentence, a, b in zip(sentences, factorized, layered):
+        assert a == b, (sentence, mode, a, b)
+    return factorized, len(layered_runs)
+
+
+def _all_sentences(model, forms=tuple(qr.SentenceForm), rng=None, most=None):
+    """Every sentence of the given forms over the model's words, or `most`
+    of each form drawn by rng."""
+    dets, nouns = sorted(model.quantifiers), sorted(model.nouns)
+    nps, vps, verbs = sorted(model.nps), sorted(model.vps), sorted(model.verbs)
+    by_form = {
+        qr.SentenceForm.BARE_INTRANSITIVE: [f"{a} {v}" for a in nps for v in vps],
+        qr.SentenceForm.QUANT_SUBJECT: [f"{d} {n} {v}" for d in dets for n in nouns
+                                        for v in vps],
+        qr.SentenceForm.BARE_TRANSITIVE: [f"{a} {v} {b}" for a in nps for v in verbs
+                                          for b in nps],
+        qr.SentenceForm.QUANT_OBJECT: [f"{a} {v} {d} {n}" for a in nps for v in verbs
+                                       for d in dets for n in nouns],
+        qr.SentenceForm.DOUBLE_QUANT: [f"{d} {n} {v} {e} {m}" for d in dets for n in nouns
+                                       for v in verbs for e in dets for m in nouns],
+    }
+    if rng is None:
+        return [s for form in forms for s in by_form[form]]
+    return [s for form in forms
+            for s in rng.sample(by_form[form], min(most, len(by_form[form])))]
+
+
+def _route_lexicon(size, grades, quantale, threshold=0.0):
+    universe = [f"u{i}" for i in range(size)]
+    top = max(grades)
+    crisp = quantale == "boolean"
+    dets = {"every": {"kind": "every"}, "some": {"kind": "some"}, "no": {"kind": "no"}}
+    if crisp:
+        dets["exactly1"] = {"kind": "exactly", "n": 1}
+    else:
+        dets["several"] = {"kind": "fuzzy", "breakpoints": [list(b) for b in SEVERAL_BPS]}
+        dets["few"] = {"kind": "fuzzy",
+                       "breakpoints": [[0, 0], [0.1, 1], [0.3, 1], [0.6, 0], [1, 0]]}
+    return {
+        "universe": universe, "quantale": quantale, "grades": grades,
+        "threshold": threshold,
+        "nouns": {"men": {"u0": top}, "dogs": {"u1": top}},
+        "nps": {"john": {"u0": top}, "mary": {"u1": top}},
+        "vps": {"run": {"u0": top}},
+        "verbs": {"see": [["u0", "u1", top]]},
+        "quantifiers": dets,
+    }
+
+
+@pytest.mark.parametrize("quantale", ["godel", "product", "lukasiewicz", "boolean"])
+def test_factorized_contraction_equals_layered_exhaustive(quantale, monkeypatch):
+    """Exhaustive mode: the factor-by-factor contraction equals, with ==,
+    the layer-by-layer composition of the whole state, on up to 24
+    sentences of each form over random models at |P| = 8 or 9 (all five
+    forms, sigma-count thresholds 0 and 0.3) and |P| = 16 or 27 (all but
+    DoubleQuant, which the work guard refuses there)."""
+    from quantrel.sampling import randomize_model
+    crisp = quantale == "boolean"
+    rng = random.Random(f"routes:{quantale}")
+    forms = tuple(qr.SentenceForm)
+    no_double = tuple(f for f in forms if f is not qr.SentenceForm.DOUBLE_QUANT)
+    cells = ([(3, [0, 1], forms, 0.0), (3, [0, 1], forms, 0.3), (4, [0, 1], no_double, 0.0)]
+             if crisp else
+             [(2, [0, 0.5, 1], forms, 0.0), (2, [0, 0.5, 1], forms, 0.3),
+              (3, [0, 0.5, 1], no_double, 0.0)])
+    values, runs = [], 0
+    for size, grades, forms, threshold in cells:
+        template = qr.load_lexicon(_route_lexicon(size, grades, quantale, threshold))
+        model = randomize_model(template, rng, crisp=crisp)
+        assert len(model.powerset().index) <= 27
+        got, n = _routes_agree(monkeypatch, model, _all_sentences(model, forms, rng, 24),
+                               "exhaustive")
+        values += got
+        runs += n
+    floats = [v for v in values if isinstance(v, float)]
+    assert runs == len(floats) > 100
+    assert len(set(floats)) >= (2 if crisp else 5)
+
+
+@pytest.mark.parametrize("quantale", ["godel", "product", "lukasiewicz"])
+def test_factorized_contraction_equals_layered_at_64_subsets(quantale, monkeypatch):
+    """The |P| = 64 QuantSubject of `_object_lexicon`, where the copy of
+    np re-keys 64 entries instead of the 64 x 64 of np (x) vp.  "walk"
+    holds almost every element, so its full-subset state meets a
+    proportion of 1 and the join is not the unit."""
+    data = _object_lexicon(quantale)
+    data["vps"]["walk"] = {"u0": 1.0, "u1": 1.0, "u2": 0.75}
+    model = qr.load_lexicon(data)
+    sentences = _all_sentences(model, (qr.SentenceForm.QUANT_SUBJECT,))
+    values, runs = _routes_agree(monkeypatch, model, sentences, "exhaustive")
+    assert runs == len(sentences) == 6
+    assert all(isinstance(v, float) for v in values)
+    assert any(0.0 < v < 1.0 for v in values)
+
+
+@pytest.mark.parametrize("lexicon, quantales", [
+    ("small", ("godel", "product", "lukasiewicz")),
+    ("demo", ("godel", "product", "lukasiewicz")),
+    ("crisp", ("boolean",)),
+])
+def test_factorized_contraction_equals_layered_restricted(lexicon, quantales, monkeypatch):
+    """Restricted mode on random models of a shipped lexicon: every
+    sentence of every form, == between the two contractions."""
+    import json
+    from pathlib import Path
+
+    from quantrel.sampling import randomize_model
+    path = Path(__file__).resolve().parent.parent / "lexicons" / f"{lexicon}.json"
+    data = json.loads(path.read_text())
+    rng = random.Random(f"routes:{lexicon}")
+    runs = 0
+    values = []
+    for quantale in quantales:
+        template = qr.load_lexicon({**data, "quantale": quantale})
+        for _ in range(3):
+            model = randomize_model(template, rng, crisp=quantale == "boolean")
+            got, n = _routes_agree(monkeypatch, model, _all_sentences(model), "restricted")
+            values += got
+            runs += n
+    floats = [v for v in values if isinstance(v, float)]
+    assert runs > 50
+    assert any(v == 1.0 for v in floats) and any(v == 0.0 for v in floats)
 
 
 def test_exhaustive_exactly_over_graded_lattice_raises():
