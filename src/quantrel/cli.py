@@ -26,7 +26,8 @@ from .lexicon import dump_lexicon, load_lexicon
 from .quantale import by_name
 from .sampling import (available_forms, crisp_determiners, graded_determiners,
                        randomize_model, sample_sentence)
-from .semantics import degree_of_truth, eval_categorical, eval_crisp_truth
+from .semantics import (METHODS, MODES, degree_of_truth, eval_categorical,
+                        eval_crisp_truth)
 from .grammar import parse as parse_sentence
 from .grammar import tokenize
 from .vrel import CrispRel, IndexSet, compose, include, snake_identities
@@ -213,10 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("sentence", nargs="?", default=None)
     p_eval.add_argument("--sentences-file", default=None,
                         help="evaluate every non-blank line of this file")
-    p_eval.add_argument("--method", default="both",
-                        choices=("crisp", "direct", "categorical", "both"))
-    p_eval.add_argument("--mode", default="restricted",
-                        choices=("restricted", "exhaustive"))
+    p_eval.add_argument("--method", default="both", choices=METHODS)
+    p_eval.add_argument("--mode", default="restricted", choices=MODES)
     p_eval.set_defaults(func=cmd_eval)
 
     p_laws = sub.add_parser("laws", help="check snake, bialgebra and (co)monoid laws")

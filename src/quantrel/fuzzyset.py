@@ -150,14 +150,6 @@ def proportion_row(bs: Iterable[Sequence[float]], a: Sequence[float],
     return [sum(m for m in map(min, a, b) if m >= threshold) / denom for b in bs]
 
 
-def proportion_grades(b: Sequence[float], a: Sequence[float],
-                      threshold: float) -> Optional[float]:
-    """Relative cardinality of grade tuple b in grade tuple a:
-    sigma(a & b) / sigma(a), or None when sigma(a) is zero."""
-    row = proportion_row((b,), a, threshold)
-    return None if row is None else row[0]
-
-
 def proportion(b: FuzzySet, a: FuzzySet, threshold: float = 0.0) -> float:
     """Relative cardinality of b in a: sigma(a & b) / sigma(a).
 
@@ -166,10 +158,10 @@ def proportion(b: FuzzySet, a: FuzzySet, threshold: float = 0.0) -> float:
     """
     if a.universe != b.universe:
         raise ShapeMismatchError("proportion needs a shared universe")
-    p = proportion_grades(b.grades, a.grades, threshold)
-    if p is None:
+    row = proportion_row((b.grades,), a.grades, threshold)
+    if row is None:
         raise EmptyRestrictorError("proportion against a set of sigma-count zero")
-    return p
+    return row[0]
 
 
 def image_grades(rows: Sequence[Sequence[Tuple[int, float]]],

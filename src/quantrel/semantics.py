@@ -658,7 +658,7 @@ def eval_categorical(tree: ParseTree, model: Model, mode: str = "restricted") ->
     only; mode "exhaustive" joins over every graded subset of the
     model's grade lattice.
     """
-    if mode not in ("restricted", "exhaustive"):
+    if mode not in MODES:
         raise QuantrelError(f"unknown mode {mode!r}")
     den = _Denotations(tree, model)
     form = den.form
@@ -686,11 +686,12 @@ def eval_categorical(tree: ParseTree, model: Model, mode: str = "restricted") ->
                 f"exhaustive join over {len(p)} subsets needs ~{work:.1e} steps "
                 f"for a {form} sentence; use restricted mode or a smaller "
                 f"grade lattice")
-        for fs in den.fuzzy_sets():
-            for g in fs.grades:
-                if g not in model.grades:
-                    raise EvaluationError(
-                        f"lexicon grade {g:g} is outside the grade lattice")
+        grades = [g for fs in den.fuzzy_sets() for g in fs.grades]
+        if den.verb is not None:
+            grades += [g for row in den.verb.rows for _, g in row]
+        for g in grades:
+            if g not in model.grades:
+                raise EvaluationError(f"lexicon grade {g:g} is outside the grade lattice")
         wires = {w: p.index
                  for layer in pipeline.layers
                  for atom in layer
@@ -719,6 +720,7 @@ class TruthReport:
 
 
 METHODS = ("crisp", "direct", "categorical", "both")
+MODES = ("restricted", "exhaustive")
 
 
 def degree_of_truth(sentence: str, model: Model, method: str = "both",

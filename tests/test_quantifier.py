@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+import brute
 import quantrel as qr
 from conftest import MOST_BPS, SEVERAL_BPS, interpolation_oracle
 
@@ -245,30 +246,12 @@ def _determiner_row(draw):
             draw(st.sampled_from((0.0, 0.3, 1.0))))
 
 
-def _pair_grade(d, a, b, t):
-    """One pair graded on its own: the proportion of b in a through the
-    distribution, or the crisp determiner's pointwise set condition."""
-    if isinstance(d, qr.FuzzyQuantifier):
-        denom = sum(g for g in a if g >= t)
-        if denom == 0.0:
-            return 0.0
-        return qr.apply_distribution(d, sum(m for m in map(min, a, b) if m >= t) / denom)
-    if d.kind == "every":
-        return 1.0 if all(x <= y for x, y in zip(a, b) if x >= t) else 0.0
-    if d.kind == "some":
-        return 1.0 if any(m > 0.0 and m >= t for m in map(min, a, b)) else 0.0
-    if d.kind == "no":
-        return 1.0 if all(min(x, y) == 0.0 for x, y in zip(a, b)) else 0.0
-    if any(g not in (0.0, 1.0) for g in a + b):
-        raise qr.EvaluationError("'exactly' requires crisp membership tuples")
-    return 1.0 if sum(1 for x, y in zip(a, b) if x == y == 1.0) == d.n else 0.0
-
-
 @given(_determiner_row())
 def test_graded_row_equals_graded_entry(case):
     """The row form grades each scope as `graded_entry` grades its pair,
-    and as that pair graded on its own does, repr for repr; "exactly"
-    refuses a row exactly when a pair of it holds a graded tuple."""
+    and as the tests' oracle (`brute.entry`) grades that pair on its
+    own, repr for repr; "exactly" refuses a row exactly when a pair of
+    it holds a graded tuple."""
     from quantrel.quantifier import graded_row
     d, a, bs, t = case
 
@@ -280,7 +263,7 @@ def test_graded_row_equals_graded_entry(case):
 
     row = outcome(lambda: graded_row(d, a, bs, t))
     assert row == outcome(lambda: [qr.graded_entry(d, a, b, t) for b in bs])
-    assert row == outcome(lambda: [_pair_grade(d, a, b, t) for b in bs])
+    assert row == outcome(lambda: [brute.entry(d, a, b, t) for b in bs])
     graded = any(g not in (0.0, 1.0) for g in a + sum(bs, ()))
     exactly = isinstance(d, qr.CrispQuantifier) and d.kind == "exactly"
     assert (row == "EvaluationError") == (exactly and graded)

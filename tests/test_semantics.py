@@ -1,9 +1,12 @@
 import itertools
 import random
+from fractions import Fraction
 from functools import reduce
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import brute
 import quantrel as qr
 from conftest import (SEVERAL_BPS, animal_lexicon, crisp_lexicon,
                       interpolation_oracle)
@@ -229,81 +232,29 @@ def _tiny_lexicon(grades, quantale="godel"):
     }
 
 
+def _exhaustive_vs_brute(model, sentence, members=None):
+    """The exhaustive value of the sentence, which must equal the float
+    oracle of `brute` with ==, and where each wire ranges over at most
+    27 subsets, the exact oracle within 1e-12."""
+    got = qr.eval_categorical(_tree(sentence, model), model, "exhaustive")
+    assert got == brute.score(model, sentence, members), sentence
+    if len(members or model.powerset()) <= 27:
+        exact = brute.score(model, sentence, members, num=Fraction)
+        assert abs(Fraction(got) - exact) <= 1e-12, sentence
+    return got
+
+
 def test_exhaustive_quant_subject_matches_brute_force():
     """Symbolic flattening: the composed pipeline equals the max-min
     formula computed by nested loops over all enumerated subsets."""
     model = qr.load_lexicon(_tiny_lexicon([0, 0.5, 1]))
-    tree = _tree("several men run", model)
-    got = qr.eval_categorical(tree, model, "exhaustive")
-
-    several = model.quantifiers["several"]
-    men, run = model.nouns["men"], model.vps["run"]
-    members = list(itertools.product((0.0, 0.5, 1.0), repeat=2))
-
-    def prop(b, a):
-        denom = sum(a)
-        return None if denom == 0 else sum(map(min, a, b)) / denom
-
-    best = 0.0
-    for a in members:
-        for b in members:
-            pa = prop(a, men.as_tuple())
-            pb = prop(b, run.as_tuple())
-            if pa is None or pb is None:
-                continue
-            meet_prop = prop(tuple(map(min, a, b)), a)
-            dq = 0.0 if meet_prop is None else qr.apply_distribution(several, meet_prop)
-            best = max(best, min(pa, pb, dq))
-    assert got == pytest.approx(best, abs=1e-12)
+    _exhaustive_vs_brute(model, "several men run")
 
 
 def test_exhaustive_double_quant_matches_brute_force():
     """The doubly quantified pipeline flattens to the five-term max-min."""
     model = qr.load_lexicon(_tiny_lexicon([0, 1]))
-    tree = _tree("some men see every men", model)
-    got = qr.eval_categorical(tree, model, "exhaustive")
-
-    men = model.nouns["men"].as_tuple()
-    see = model.verbs["see"]
-    members = list(itertools.product((0.0, 1.0), repeat=2))
-
-    def prop(b, a):
-        denom = sum(a)
-        return None if denom == 0 else sum(map(min, a, b)) / denom
-
-    def image(a):
-        out = [0.0, 0.0]
-        for (x, y), g in see.pairs.items():
-            i = model.universe.position(x)
-            j = model.universe.position(y)
-            out[j] = max(out[j], min(a[i], g))
-        return tuple(out)
-
-    def quant_entry(kind, a, b):
-        if kind == "some":
-            return 1.0 if any(min(x, y) > 0 for x, y in zip(a, b)) else 0.0
-        return 1.0 if all(x <= y for x, y in zip(a, b)) else 0.0
-
-    best = 0.0
-    for a in members:
-        pa = prop(a, men)
-        if pa is None:
-            continue
-        for b in members:
-            for d_ in members:
-                pv = prop(d_, image(b))
-                if pv is None:
-                    continue
-                for c in members:
-                    pc = prop(c, men)
-                    if pc is None:
-                        continue
-                    term = min(
-                        pa, pv, pc,
-                        quant_entry("some", a, tuple(map(min, a, b))),
-                        quant_entry("every", c, tuple(map(min, c, d_))))
-                    best = max(best, term)
-    assert got == pytest.approx(best, abs=1e-12)
+    _exhaustive_vs_brute(model, "some men see every men")
 
 
 def _graded_double_lexicon(quantale):
@@ -330,42 +281,15 @@ def test_exhaustive_graded_double_quant_equals_diagram_order_brute_force(quantal
     equals, with ==, a loop that tensors the factors as the diagram
     meets them: the states np ⊗ v ⊗ np' left to right, then the
     determiner layer d ⊗ d', at the pairs (A, A∧B) and (C, C∧D).  The
-    loop reads each factor from the kernels the evaluator's atoms wrap
-    (`proportion_grades`, `image_grades`, `graded_entry`), so it checks
-    the layout and the join, not the kernels."""
-    from quantrel.fuzzyset import image_grades, proportion_grades
-    from quantrel.quantifier import graded_entry
-
+    loop (`brute`) reimplements every factor from the model's data, so
+    it checks the kernels as well as the layout and the join."""
     model = qr.load_lexicon(_graded_double_lexicon(quantale))
-    tensor, t = model.quantale.tensor, model.threshold
-    members = list(itertools.product((0.0, 0.3, 1.0), repeat=2))
-    see = model.verbs["see"]
-
-    def state(b, a):
-        p = proportion_grades(b, a, t)
-        return 0.0 if p is None else p
-
-    def meet(x, y):
-        return tuple(map(min, x, y))
-
     values = []
     for subj, det1, obj, det2 in (("men", "several", "dogs", "most"),
                                   ("dogs", "few", "men", "several"),
                                   ("men", "most", "men", "few"),
                                   ("dogs", "most", "dogs", "few")):
-        s_t, o_t = model.nouns[subj].as_tuple(), model.nouns[obj].as_tuple()
-        d1, d2 = model.quantifiers[det1], model.quantifiers[det2]
-        best = 0.0
-        for a, b, d, c in itertools.product(members, repeat=4):
-            states = tensor(tensor(state(a, s_t), state(d, image_grades(see.rows, b))),
-                            state(c, o_t))
-            dets = tensor(graded_entry(d1, a, meet(a, b), t),
-                          graded_entry(d2, c, meet(c, d), t))
-            best = max(best, tensor(states, dets))
-        got = qr.eval_categorical(_tree(f"{det1} {subj} see {det2} {obj}", model),
-                                  model, "exhaustive")
-        assert got == best
-        values.append(got)
+        values.append(_exhaustive_vs_brute(model, f"{det1} {subj} see {det2} {obj}"))
     assert any(0.0 < v < 1.0 for v in values)
 
 
@@ -375,57 +299,10 @@ def test_exhaustive_matches_brute_force_on_random_models():
     rng = random.Random(13)
     template = qr.load_lexicon(_tiny_lexicon([0, 0.5, 1]))
     from quantrel.sampling import randomize_model
-    members = list(itertools.product((0.0, 0.5, 1.0), repeat=2))
-
-    def prop(b, a):
-        denom = sum(a)
-        return None if denom == 0 else sum(map(min, a, b)) / denom
-
     for _ in range(20):
         model = randomize_model(template, rng)
-        several = model.quantifiers["several"]
-        men, run = model.nouns["men"].as_tuple(), model.vps["run"].as_tuple()
-        see, john = model.verbs["see"], model.nps["john"].as_tuple()
-
-        tree = _tree("several men run", model)
-        best = 0.0
-        for a in members:
-            pa = prop(a, men)
-            if pa is None:
-                continue
-            for b in members:
-                pb = prop(b, run)
-                mp = prop(tuple(map(min, a, b)), a)
-                if pb is None or mp is None:
-                    continue
-                best = max(best, min(pa, pb, qr.apply_distribution(several, mp)))
-        assert qr.eval_categorical(tree, model, "exhaustive") == \
-            pytest.approx(best, abs=1e-12)
-
-        tree = _tree("john see several men", model)
-        best = 0.0
-        for a in members:
-            pa = prop(a, john)
-            if pa is None:
-                continue
-            image = [0.0, 0.0]
-            for (x, y), g in see.pairs.items():
-                i = model.universe.position(x)
-                j = model.universe.position(y)
-                image[j] = max(image[j], min(a[i], g))
-            for b in members:
-                pv = prop(b, tuple(image))
-                if pv is None:
-                    continue
-                for c in members:
-                    pc = prop(c, men)
-                    mp = prop(tuple(map(min, b, c)), c)
-                    if pc is None or mp is None:
-                        continue
-                    best = max(best, min(pa, pv, pc,
-                                         qr.apply_distribution(several, mp)))
-        assert qr.eval_categorical(tree, model, "exhaustive") == \
-            pytest.approx(best, abs=1e-12)
+        for sentence in ("several men run", "john see several men"):
+            _exhaustive_vs_brute(model, sentence)
 
 
 @pytest.mark.parametrize("quantale", ["godel", "product", "lukasiewicz", "boolean"])
@@ -438,7 +315,6 @@ def test_exhaustive_bare_forms_equal_diagram_order_brute_force(quantale):
     The full subset gives every proportion state the unit, so over the
     real quantales the join is the unit unless a denotation is empty
     ("nobody"); the Boolean point states score [np = vp]."""
-    from quantrel.fuzzyset import image_grades, proportion_grades
     from quantrel.sampling import randomize_model
 
     crisp = quantale == "boolean"
@@ -452,32 +328,11 @@ def test_exhaustive_bare_forms_equal_diagram_order_brute_force(quantale):
     for _ in range(6):
         model = randomize_model(template, rng, crisp=crisp)
         model.nps["nobody"] = qr.FuzzySet(model.universe, [0.0] * 3)
-        q, t = model.quantale, model.threshold
+        q = model.quantale
         assert len(model.powerset().index) == len(members)
-
-        def state(b, a):
-            if crisp:
-                return q.unit if b == a else q.bottom
-            p = proportion_grades(b, a, t)
-            return q.bottom if p is None else p
-
-        see = model.verbs["see"].rows
-        run = model.vps["run"].as_tuple()
-        for subj in ("john", "mary", "nobody"):
-            np_ = model.nps[subj].as_tuple()
-            best = max(q.tensor(state(a, np_), state(a, run)) for a in members)
-            got = qr.eval_categorical(_tree(f"{subj} run", model), model, "exhaustive")
-            assert got == best
-            values.append(got)
-            for obj in ("john", "mary", "nobody"):
-                obj_ = model.nps[obj].as_tuple()
-                best = max(q.tensor(q.tensor(state(a, np_), state(b, image_grades(see, a))),
-                                    state(b, obj_))
-                           for a in members for b in members)
-                got = qr.eval_categorical(_tree(f"{subj} see {obj}", model), model,
-                                          "exhaustive")
-                assert got == best
-                values.append(got)
+        nps = ("john", "mary", "nobody")
+        for sentence in [f"{s} run" for s in nps] + [f"{s} see {o}" for s in nps for o in nps]:
+            values.append(_exhaustive_vs_brute(model, sentence, members))
     assert any(v == q.unit for v in values) and any(v == q.bottom for v in values)
 
 
@@ -507,56 +362,47 @@ def test_exhaustive_object_forms_at_64_subsets_match_brute_force(quantale):
     pipeline equals nested loops over every subject, image and object
     subset, with no relation composed."""
     model = qr.load_lexicon(_object_lexicon(quantale))
-    q = model.quantale
     members = list(itertools.product((0.0, 0.25, 0.75, 1.0), repeat=3))
     assert len(members) == 64
-    pos = model.universe.position
-
-    def prop(b, a):
-        denom = sum(a)
-        return 0.0 if denom == 0 else sum(map(min, a, b)) / denom
-
-    def image(a, verb):
-        out = [0.0, 0.0, 0.0]
-        for (x, y), g in verb.pairs.items():
-            out[pos(y)] = max(out[pos(y)], min(a[pos(x)], g))
-        return tuple(out)
-
-    def tensor(*grades):
-        acc = grades[0]
-        for g in grades[1:]:
-            acc = q.tensor(acc, g)
-        return acc
-
-    def det_entry(det, c, g):
-        if det == "every":
-            return 1.0 if all(x <= y for x, y in zip(c, g)) else 0.0
-        return qr.apply_distribution(model.quantifiers[det], prop(g, c)) if sum(c) else 0.0
-
-    see = model.verbs["see"]
-    verb = [[prop(b, image(a, see)) for b in members] for a in members]
-    men = [prop(c, model.nouns["men"].as_tuple()) for c in members]
-    idx = range(len(members))
-    for subj, obj in (("john", "mary"), ("mary", "john")):
-        np_ = [prop(a, model.nps[subj].as_tuple()) for a in members]
-        obj_ = [prop(b, model.nps[obj].as_tuple()) for b in members]
-        best = max(tensor(np_[i], verb[i][j], obj_[j]) for i in idx for j in idx)
-        got = qr.eval_categorical(_tree(f"{subj} see {obj}", model), model, "exhaustive")
-        assert got == pytest.approx(best, abs=1e-12)
+    for sentence in ("john see mary", "mary see john"):
+        _exhaustive_vs_brute(model, sentence, members)
 
     values = []
     for subj, det in (("john", "few"), ("mary", "few"), ("john", "several"),
                       ("mary", "every")):
-        np_ = [prop(a, model.nps[subj].as_tuple()) for a in members]
-        dq = [[det_entry(det, c, tuple(map(min, b, c))) for c in members] for b in members]
-        # A zero factor zeroes the term in all three quantales.
-        best = max(tensor(np_[i], verb[i][j], men[k], dq[j][k])
-                   for i in idx if np_[i] for j in idx if verb[i][j] for k in idx)
-        got = qr.eval_categorical(_tree(f"{subj} see {det} men", model), model,
-                                  "exhaustive")
-        assert got == pytest.approx(best, abs=1e-12)
-        values.append(got)
+        values.append(_exhaustive_vs_brute(model, f"{subj} see {det} men", members))
     assert min(values) < 0.8 < max(values)
+
+
+@st.composite
+def _tiny_model_and_sentence(draw):
+    """A model of `_route_lexicon` over |U| <= 2 elements (3 for a bare
+    sentence), a lattice of {0, 1}, {0, .5, 1} or {0, .3, 1} (only
+    {0, 1} over the Boolean quantale), threshold 0, 0.3 (a grade) or
+    0.6 (which drops .3 and .5) and drawn grades, and one sentence of a
+    drawn form over its words."""
+    form = draw(st.sampled_from(list(qr.SentenceForm)))
+    bare = form in (qr.SentenceForm.BARE_INTRANSITIVE, qr.SentenceForm.BARE_TRANSITIVE)
+    size = draw(st.integers(1, 3 if bare else 2))
+    quantale = draw(st.sampled_from(("godel", "product", "lukasiewicz", "boolean")))
+    grades = draw(st.sampled_from([[0, 1]] if quantale == "boolean" else
+                                  [[0, 1], [0, 0.5, 1], [0, 0.3, 1]]))
+    data = _route_lexicon(size, grades, quantale, draw(st.sampled_from((0.0, 0.3, 0.6))))
+    universe, grade = data["universe"], st.sampled_from(grades)
+    for group in ("nouns", "nps", "vps"):
+        data[group] = {w: draw(st.fixed_dictionaries({u: grade for u in universe}))
+                       for w in data[group]}
+    data["verbs"] = {"see": [[x, y, draw(grade)] for x in universe for y in universe]}
+    model = qr.load_lexicon(data)
+    return model, draw(st.sampled_from(_all_sentences(model, (form,))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tiny_model_and_sentence())
+def test_exhaustive_equals_brute_force_on_tiny_models(case):
+    """On all four quantales and all five forms, the exhaustive value
+    equals the float oracle with == and the exact one within 1e-12."""
+    _exhaustive_vs_brute(*case)
 
 
 @pytest.mark.parametrize("q", [qr.GODEL, qr.PRODUCT, qr.LUKASIEWICZ, qr.BOOLEAN],
@@ -1013,6 +859,11 @@ def test_exhaustive_grade_outside_lattice():
         qr.eval_categorical(tree, model, "exhaustive")
     # restricted mode does not enumerate and still works
     qr.eval_categorical(tree, model, "restricted")
+    # So is a verb grade: its images leave the enumerated subsets.
+    model = qr.load_lexicon(data)
+    model.verbs["see"] = qr.FuzzyRelation(model.universe, {("a", "a"): 0.3, ("a", "b"): 0.7})
+    with pytest.raises(qr.EvaluationError, match="grade 0.3 is outside"):
+        qr.eval_categorical(_tree("john see several men", model), model, "exhaustive")
 
 
 def test_exhaustive_work_guard():
