@@ -687,7 +687,8 @@ def eval_categorical(tree: ParseTree, model: Model, mode: str = "restricted") ->
                 f"for a {form} sentence; use restricted mode or a smaller "
                 f"grade lattice")
         grades = [g for fs in den.fuzzy_sets() for g in fs.grades]
-        if den.verb is not None:
+        if den.verb is not None and form != SentenceForm.QUANT_SUBJECT:
+            # A "d n v np" verb meets the join only through its derived VP.
             grades += [g for row in den.verb.rows for _, g in row]
         for g in grades:
             if g not in model.grades:

@@ -1,9 +1,7 @@
 """The tests' one brute-force oracle for the exhaustive categorical join.
 
-Each form's function takes the max, over every assignment of a subset
-in `members` (by default the model's whole graded powerset) to each
-wire, of the tensor of the form's factors in the order the diagram
-meets them:
+Each form's function takes the max, over every assignment of a graded
+subset to each wire, of the tensor of its factors in diagram order:
 
     BareIntransitive  np vp        np(A) ⊗ vp(A)
     QuantSubject      d n vp       (n(A) ⊗ vp(B)) ⊗ d(A, A∧B)
@@ -11,27 +9,29 @@ meets them:
     QuantObject       np v d n     ((np(A) ⊗ v(A, B)) ⊗ n(C)) ⊗ d(C, C∧B)
     DoubleQuant       d n v d' n'  ((n(A) ⊗ v(B, D)) ⊗ n'(C)) ⊗ (d(A, A∧B) ⊗ d'(C, C∧D))
 
-A word's factors are the row `state(members, denotation)`, a verb's at
-A the row `state(members, image(A))`, and d(A, G) is `entry(d, A, G)`.  The
-transitive forms join over A before they meet the rest; the tensor is
-monotone, so the value is the same bit for bit.
+A word's factor is the state row of its denotation, a verb's at A that
+of A's image, and d(A, G) is `entry(d, A, G)`; the state is `point`
+over the Boolean quantale and `proportion` over the real ones.
+QuantObject joins over A before it meets n and d, as the evaluator's
+verb layer does (a flat join over 64^3 triples takes seconds).  That
+is exact over Fractions, where the tensor is monotone, but the float
+Łukasiewicz tensor is not (T(1, o) = o by its unit law, while T(x, o)
+for x just below 1 can round above o), so there the float oracle
+follows the evaluator's join order.
 
 The oracle reads only the model's data (grade tuples, `verb.rows`, the
-quantale's name, the threshold, a determiner's `kind`, `n` and
-`breakpoints`) and calls no quantrel kernel.  Two parameters choose
-what it computes.  `state` is the state kernel, by default the
-evaluator's: `point` over the Boolean quantale, `proportion` over the
-real ones.  `num` is the arithmetic: with `float` every step is the
-float the evaluator computes, so values match it with ==; with
-`fractions.Fraction` every step is exact, since each grade is a binary
-float and the tensors, sigma-count ratios and piecewise-linear
-distributions are exact over Fractions.
+quantale, the threshold, a determiner's `kind`, `n` and `breakpoints`)
+and calls no quantrel kernel.  `num` is the arithmetic: with `float`
+each step is the evaluator's float, so values match it with ==; with
+`fractions.Fraction` each step is exact, as every grade is a binary
+float and tensors, sigma-count ratios and distributions are exact.
 """
 
 from bisect import bisect_right
 from itertools import product
 
-from quantrel import EvaluationError, FuzzyQuantifier
+from quantrel import (EvaluationError, FuzzyQuantifier, SentenceForm, classify, parse,
+                      tokenize)
 
 
 def _lukasiewicz(a, b):
@@ -99,14 +99,14 @@ def entry(d, a, b, t=0, num=float):
 
 
 class _Factors:
-    """One model's factors over the members, each tabulated once."""
+    """One model's factors over its graded subsets, each tabulated once."""
 
-    def __init__(self, model, members, state, num):
-        members = product(model.grades, repeat=len(model.universe)) if members is None else members
+    def __init__(self, model, num):
         self.model, self.num, self.t = model, num, num(model.threshold)
-        self.state = state or (point if model.quantale.carrier == "boolean" else proportion)
+        self.state = point if model.quantale.carrier == "boolean" else proportion
         self.tensor = TENSORS[model.quantale.name]
-        self.members = [tuple(map(num, m)) for m in members]
+        self.members = [tuple(map(num, m))
+                        for m in product(model.grades, repeat=len(model.universe))]
         self.idx = range(len(self.members))
 
     def word(self, group, word):
@@ -138,8 +138,7 @@ def quant_subject(f, det, noun, vp):
 
 def bare_transitive(f, np, verb, np2):
     s, v, o = f.word("nps", np), f.verb(verb), f.word("nps", np2)
-    left = [max(f.tensor(s[a], v[a][b]) for a in f.idx) for b in f.idx]
-    return max(f.tensor(left[b], o[b]) for b in f.idx)
+    return max(f.tensor(f.tensor(s[a], v[a][b]), o[b]) for a in f.idx for b in f.idx)
 
 
 def quant_object(f, np, verb, det, noun):
@@ -157,11 +156,14 @@ def double_quant(f, det, noun, verb, det2, noun2):
                default=0)
 
 
-def score(model, sentence, members=None, state=None, num=float):
-    """The oracle's value of a sentence of any form but "d n v np": its
-    form is read off its length and whether it opens with a determiner."""
-    words = sentence.split()
-    forms = {2: bare_intransitive, 3: bare_transitive, 4: quant_object, 5: double_quant}
-    form = quant_subject if len(words) == 3 and words[0] in model.quantifiers else \
-        forms[len(words)]
-    return num(form(_Factors(model, members, state, num), *words))
+FORMS = {SentenceForm.BARE_INTRANSITIVE: bare_intransitive,
+         SentenceForm.QUANT_SUBJECT: quant_subject, SentenceForm.BARE_TRANSITIVE: bare_transitive,
+         SentenceForm.QUANT_OBJECT: quant_object, SentenceForm.DOUBLE_QUANT: double_quant}
+
+
+def score(model, sentence, num=float):
+    """The oracle's value of a sentence in the arithmetic `num`."""
+    tree = parse(tokenize(sentence, model))
+    if classify(tree) == SentenceForm.QUANT_SUBJECT and not tree.children[1].is_leaf():
+        raise NotImplementedError("the oracle does not derive the VP of a 'd n v np' sentence")
+    return num(FORMS[classify(tree)](_Factors(model, num), *tree.leaves()))

@@ -2,12 +2,14 @@ import itertools
 import random
 from fractions import Fraction
 from functools import reduce
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import brute
 import quantrel as qr
+from quantrel.sampling import randomize_model
 from conftest import (SEVERAL_BPS, animal_lexicon, crisp_lexicon,
                       interpolation_oracle)
 
@@ -26,7 +28,6 @@ def test_crisp_truth_quant_subject(crisp):
 
 
 def _crisp_dict():
-    from conftest import crisp_lexicon
     return crisp_lexicon()
 
 
@@ -232,14 +233,14 @@ def _tiny_lexicon(grades, quantale="godel"):
     }
 
 
-def _exhaustive_vs_brute(model, sentence, members=None):
+def _exhaustive_vs_brute(model, sentence):
     """The exhaustive value of the sentence, which must equal the float
     oracle of `brute` with ==, and where each wire ranges over at most
     27 subsets, the exact oracle within 1e-12."""
     got = qr.eval_categorical(_tree(sentence, model), model, "exhaustive")
-    assert got == brute.score(model, sentence, members), sentence
-    if len(members or model.powerset()) <= 27:
-        exact = brute.score(model, sentence, members, num=Fraction)
+    assert got == brute.score(model, sentence), sentence
+    if len(model.powerset()) <= 27:
+        exact = brute.score(model, sentence, num=Fraction)
         assert abs(Fraction(got) - exact) <= 1e-12, sentence
     return got
 
@@ -298,7 +299,6 @@ def test_exhaustive_matches_brute_force_on_random_models():
     loops over every enumerated subset."""
     rng = random.Random(13)
     template = qr.load_lexicon(_tiny_lexicon([0, 0.5, 1]))
-    from quantrel.sampling import randomize_model
     for _ in range(20):
         model = randomize_model(template, rng)
         for sentence in ("several men run", "john see several men"):
@@ -315,24 +315,21 @@ def test_exhaustive_bare_forms_equal_diagram_order_brute_force(quantale):
     The full subset gives every proportion state the unit, so over the
     real quantales the join is the unit unless a denotation is empty
     ("nobody"); the Boolean point states score [np = vp]."""
-    from quantrel.sampling import randomize_model
-
     crisp = quantale == "boolean"
     data = _tiny_lexicon([0, 0.5, 1])
     data["universe"] = ["a", "b", "c"]
     template = qr.load_lexicon({**data, "quantale": "godel" if crisp else quantale,
                                 "nps": {"john": {"a": 1.0}, "mary": {"c": 0.5}}})
     rng = random.Random(17)
-    members = list(itertools.product((0.0, 1.0) if crisp else (0.0, 0.5, 1.0), repeat=3))
     values = []
     for _ in range(6):
         model = randomize_model(template, rng, crisp=crisp)
         model.nps["nobody"] = qr.FuzzySet(model.universe, [0.0] * 3)
         q = model.quantale
-        assert len(model.powerset().index) == len(members)
+        assert len(model.powerset()) == (8 if crisp else 27)
         nps = ("john", "mary", "nobody")
         for sentence in [f"{s} run" for s in nps] + [f"{s} see {o}" for s in nps for o in nps]:
-            values.append(_exhaustive_vs_brute(model, sentence, members))
+            values.append(_exhaustive_vs_brute(model, sentence))
     assert any(v == q.unit for v in values) and any(v == q.bottom for v in values)
 
 
@@ -362,15 +359,14 @@ def test_exhaustive_object_forms_at_64_subsets_match_brute_force(quantale):
     pipeline equals nested loops over every subject, image and object
     subset, with no relation composed."""
     model = qr.load_lexicon(_object_lexicon(quantale))
-    members = list(itertools.product((0.0, 0.25, 0.75, 1.0), repeat=3))
-    assert len(members) == 64
+    assert len(model.powerset()) == 64
     for sentence in ("john see mary", "mary see john"):
-        _exhaustive_vs_brute(model, sentence, members)
+        _exhaustive_vs_brute(model, sentence)
 
     values = []
     for subj, det in (("john", "few"), ("mary", "few"), ("john", "several"),
                       ("mary", "every")):
-        values.append(_exhaustive_vs_brute(model, f"{subj} see {det} men", members))
+        values.append(_exhaustive_vs_brute(model, f"{subj} see {det} men"))
     assert min(values) < 0.8 < max(values)
 
 
@@ -576,7 +572,6 @@ def test_factorized_contraction_equals_layered_exhaustive(quantale, monkeypatch)
     sentences of each form over random models at |P| = 8 or 9 (all five
     forms, sigma-count thresholds 0 and 0.3) and |P| = 16 or 27 (all but
     DoubleQuant, which the work guard refuses there)."""
-    from quantrel.sampling import randomize_model
     crisp = quantale == "boolean"
     rng = random.Random(f"routes:{quantale}")
     forms = tuple(qr.SentenceForm)
@@ -624,9 +619,6 @@ def test_factorized_contraction_equals_layered_restricted(lexicon, quantales, mo
     """Restricted mode on random models of a shipped lexicon: every
     sentence of every form, == between the two contractions."""
     import json
-    from pathlib import Path
-
-    from quantrel.sampling import randomize_model
     path = Path(__file__).resolve().parent.parent / "lexicons" / f"{lexicon}.json"
     data = json.loads(path.read_text())
     rng = random.Random(f"routes:{lexicon}")
@@ -657,7 +649,6 @@ def test_boolean_collapse_sample():
     rng = random.Random(9)
     base = _tiny_lexicon([0, 1], quantale="boolean")
     template = qr.load_lexicon(base)
-    from quantrel.sampling import randomize_model
     for _ in range(60):
         model = randomize_model(template, rng, crisp=True)
         for sentence in ("every men run", "some men run", "john see some men"):
@@ -671,7 +662,6 @@ def test_boolean_collapse_sample():
 def test_exhaustive_dominates_restricted_for_godel():
     rng = random.Random(10)
     template = qr.load_lexicon(_tiny_lexicon([0, 0.5, 1]))
-    from quantrel.sampling import randomize_model
     divergences = 0
     for _ in range(40):
         model = randomize_model(template, rng)
@@ -690,7 +680,6 @@ def test_restricted_equality_holds_for_all_real_quantales():
     """At the pinned candidates every entry except the determiner's is
     the tensor unit, so the restricted value is quantale-independent."""
     rng = random.Random(14)
-    from quantrel.sampling import randomize_model
     for name in ("godel", "lukasiewicz", "product"):
         template = qr.load_lexicon(_tiny_lexicon([0, 0.5, 1], quantale=name))
         for _ in range(25):
@@ -764,7 +753,6 @@ def test_conservativity_invariance_of_direct(animals):
 def test_conservativity_invariance_on_random_models():
     rng = random.Random(12)
     template = qr.load_lexicon(_tiny_lexicon([0, 0.5, 1]))
-    from quantrel.sampling import randomize_model
     for _ in range(50):
         model = randomize_model(template, rng)
         for det in ("several", "every", "some"):
@@ -799,8 +787,6 @@ def test_double_quant_boolean_pipeline_diverges_from_nested_truth():
 def test_restricted_double_quant_rejects_graded_determiner_over_boolean():
     """Restricted DoubleQuant faces the same quantale check as exhaustive
     mode: a graded determiner has no Boolean reading."""
-    from pathlib import Path
-    from quantrel.sampling import randomize_model
     small = Path(__file__).resolve().parent.parent / "lexicons" / "small.json"
     model = randomize_model(qr.load_lexicon(small), random.Random(0), crisp=True)
     tree = _tree("several men see every men", model)
@@ -812,8 +798,6 @@ def test_restricted_double_quant_rejects_graded_determiner_over_boolean():
 def test_direct_rejects_graded_determiner_over_boolean():
     """The direct evaluator refuses what the categorical one does: a
     graded determiner has no Boolean reading in any form."""
-    from pathlib import Path
-    from quantrel.sampling import randomize_model
     small = Path(__file__).resolve().parent.parent / "lexicons" / "small.json"
     model = randomize_model(qr.load_lexicon(small), random.Random(0), crisp=True)
     for sentence in ("several men see every men", "several men see some men",
@@ -864,6 +848,9 @@ def test_exhaustive_grade_outside_lattice():
     model.verbs["see"] = qr.FuzzyRelation(model.universe, {("a", "a"): 0.3, ("a", "b"): 0.7})
     with pytest.raises(qr.EvaluationError, match="grade 0.3 is outside"):
         qr.eval_categorical(_tree("john see several men", model), model, "exhaustive")
+    # A "d n v np" verb meets the join only through its derived VP, here in the lattice.
+    model.verbs["see"] = qr.FuzzyRelation(model.universe, {("a", "b"): 0.7})
+    assert qr.eval_categorical(_tree("several men see john", model), model, "exhaustive") == 0
 
 
 def test_exhaustive_work_guard():
