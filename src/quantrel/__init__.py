@@ -31,7 +31,7 @@ from .semantics import (Model, MorphismPipeline, TruthReport, compile_pipeline,
                         eval_zadeh_direct, lexical_state, verb_between,
                         verb_relation, verb_state)
 from .vrel import (CrispRel, IndexSet, VRel, check_snake, compose, coname,
-                   epsilon, eta, identity, include, name, snake_identities,
-                   swap, tensor_rel)
+                   epsilon, eta, identity, include, merge_join, name,
+                   snake_identities, swap, tensor_rel)
 
 __version__ = "0.1.0"

@@ -46,15 +46,20 @@ are the same bit for bit.
 The composed state is a list of factors, one per group of wires that
 no atom has joined yet, contracted by a plan built per form at import
 (`_contraction_plan`): a copy, identity or swap re-keys only the factor
-it acts on, and a merge, cup, verb or determiner layer first joins all
-factors in wire order.  A determiner is graded only at the (restrictor,
-scope) pairs the joined state reaches, never over all of P x P: the
-conservative pairs (A, A∧B), as its scope wire merges its restrictor
-with the scope.  State, verb and determiner tables are graded a
-restrictor's row at a time, so each sigma-count is summed once.  Each
-reached entry is the one the full table holds, and the value is the
-same bit for bit as composing the whole state layer by layer (see
-`_pipeline_value`).
+it acts on; a layer of merges and cups, each reading the last wire of
+one factor and the first of the next, joins the factors pairwise, left
+to right, by `vrel.merge_join`, which never stores their tensor; and a
+verb or determiner layer then always meets a single factor.  So
+DoubleQuant's first merge collapses the subject and verb factors before
+the object factor is met.  A determiner is graded only at the
+(restrictor, scope) pairs the joined state reaches, never over all of
+P x P: the conservative pairs (A, A∧B), as its scope wire merges its
+restrictor with the scope.  State, verb and determiner tables are
+graded a restrictor's row at a time, so each sigma-count is summed
+once.  Each reached entry is the one the full table holds, and the
+value is the same bit for bit as composing the whole state layer by
+layer (see `_pipeline_value`): joining early by max is exact because
+every float tensor is monotone, so it distributes over max.
 """
 
 from __future__ import annotations
@@ -74,8 +79,8 @@ from .quantale import Quantale
 from .quantifier import (Determiner, FuzzyQuantifier, apply_distribution,
                          apply_quantifier_argmax, gq_holds, quantifier_vrel,
                          require_quantale)
-from .vrel import (IndexSet, VRel, compose, coname, epsilon, identity, name,
-                   swap, tensor_rel)
+from .vrel import (IndexSet, VRel, compose, coname, epsilon, identity,
+                   merge_join, name, swap, tensor_rel)
 
 
 @dataclass
@@ -363,15 +368,16 @@ def compile_pipeline(form: SentenceForm) -> MorphismPipeline:
     The widest boundaries stay 3 and 6 wires.
 
     The evaluator keeps each state, and its copy, a factor of its own
-    until the first later layer that merges, cups, or applies a verb or
-    a determiner, which joins every factor (`_contraction_plan`): the
-    first layer of BareIntransitive, the verb of the transitive forms,
-    the merges of QuantSubject, QuantObject and DoubleQuant, and the cup
-    of BareTransitive.  Graded factors meet in the diagram's order (np,
-    v, np', d, d'): the product and Lukasiewicz float tensors are not
-    associative, so that order keeps values bit for bit.  QuantObject
-    joins np' left of the verb's image, which the diagram meets first,
-    and the tensor is exactly commutative on all four quantales.
+    until a merge or cup reads it together with its neighbour
+    (`_contraction_plan`): the cups of BareIntransitive and
+    BareTransitive and the merges of QuantSubject, QuantObject and
+    DoubleQuant join two factors at a time, left to right, and the verbs
+    and determiners meet the one factor left.  Graded factors meet in the
+    diagram's order (np, v, np', d, d'): the product and Lukasiewicz
+    float tensors are not associative, so that order keeps values bit
+    for bit.  QuantObject joins np' left of the verb's image, which the
+    diagram meets first, and the tensor is exactly commutative on all
+    four quantales.
     """
     if form == SentenceForm.BARE_INTRANSITIVE:
         layers = (
@@ -423,21 +429,28 @@ _PIPELINES = {form: compile_pipeline(form) for form in SentenceForm}
 # and copies, identities and swaps are injective maps, which only move
 # the grades of the factor they act on.
 _FACTORWISE = frozenset({"state", "verb_state", "delta", "id", "sigma"})
+# Binary maps a layer may apply between two neighbouring factors.
+_MERGES = frozenset({"mu", "eps"})
 
 
 def _contraction_plan(pipeline: MorphismPipeline) -> tuple:
     """The steps `_pipeline_value` contracts the pipeline by, one per
-    layer: (layer, groups).
+    layer: (kind, layer, groups).
 
     The composed state is a list of factors, one per group of wires that
-    no atom has joined yet, in wire order.  A layer acts factor by
-    factor when all its atoms are in `_FACTORWISE` and the consecutive
-    atoms that read one factor consume exactly its wires.  Its groups
-    then list, per factor after the layer, (None, (state,)) for a new
-    state, (k, ()) for factor k touched only by identities, and (k,
-    atoms) for factor k composed with the tensor of its atoms.  Every
-    other layer has groups None: it joins all factors.  A plan that does
-    not end in one factor without wires is a construction bug.
+    no atom has joined yet, in wire order.  A layer is
+    - "factorwise" when all its atoms are in `_FACTORWISE` and the
+      consecutive atoms that read one factor consume exactly its wires.
+      Its groups list, per factor after the layer, (None, (state,)) for
+      a new state, (k, ()) for factor k touched only by identities, and
+      (k, atoms) for factor k composed with the tensor of its atoms.
+    - "merge" when its atoms other than identities are merges or cups,
+      the i-th reading the last wire of factor i and the first wire of
+      factor i + 1: it joins the factors left to right into one.
+    - "layer" when it meets a single factor, which is composed with the
+      whole layer (a verb, the determiners).
+    Any other layer is a construction bug, as is a plan that does not
+    end in one factor without wires: both raise ShapeMismatchError.
     """
     factors: List[Tuple[str, ...]] = []
     plan = []
@@ -452,15 +465,24 @@ def _contraction_plan(pipeline: MorphismPipeline) -> tuple:
                 groups.append((k, [atom]))
         consumed = [tuple(w for atom in atoms for w in atom.wires_in)
                     for k, atoms in groups if k is not None]
+        merges = [atom.wires_in for atom in layer if atom.kind != "id"]
         if consumed == factors and all(atom.kind in _FACTORWISE for atom in layer):
-            plan.append((layer, tuple(
+            plan.append(("factorwise", layer, tuple(
                 (k, () if all(atom.kind == "id" for atom in atoms) else tuple(atoms))
                 for k, atoms in groups)))
             factors = [tuple(w for atom in atoms for w in atom.wires_out)
                        for _, atoms in groups]
+            continue
+        if (all(atom.kind in _MERGES | {"id"} for atom in layer)
+                and merges == [(f[-1], g[0]) for f, g in zip(factors, factors[1:])]):
+            plan.append(("merge", layer, None))
+        elif len(factors) == 1:
+            plan.append(("layer", layer, None))
         else:
-            plan.append((layer, None))
-            factors = [tuple(w for atom in layer for w in atom.wires_out)]
+            raise ShapeMismatchError(
+                f"a layer of {pipeline.form} meets factors {factors} "
+                f"that it neither maps one by one nor merges")
+        factors = [tuple(w for atom in layer for w in atom.wires_out)]
     if factors != [()]:
         raise ShapeMismatchError(
             f"contraction plan of {pipeline.form} leaves factors {factors}")
@@ -576,29 +598,41 @@ def _pipeline_value(form: SentenceForm, model: Model,
     factor: a state starts a factor, a factor touched only by identities
     passes through untouched, and any other factor is composed with the
     tensor of its own atoms, so a copy re-keys only the factor it copies.
-    Every other layer (a merge, a cup, a verb or a determiner) first
-    joins all factors with `tensor_rel`, left to right in wire order,
-    and composes the joined state with the whole layer.
+    A layer of merges and cups joins the factors left to right, each
+    merge or cup by `merge_join` of the state so far, the next factor
+    and its own map, so no tensor of two states is stored.  A verb or
+    determiner layer meets the single factor left and is composed with
+    it whole.
 
     `compose(state, layer)` reads the layer only at the rows in the
     state's support, and each layer is built after the state it meets.
     A det atom is therefore graded only at the (restrictor, scope) pairs
-    the join reaches, read from the joined state at its digit of each
-    reached row (row-major, as `tensor_rel` lays them out).  Those are
-    conservative pairs (A, A∧B), since the scope wire is the merge of
-    the restrictor with the scope.
+    the state reaches, read from it at its digit of each reached row
+    (row-major, as `tensor_rel` lays them out).  Those are conservative
+    pairs (A, A∧B), since the scope wire is the merge of the restrictor
+    with the scope.
 
-    The value is the same bit for bit as composing the joined state
-    layer by layer: copies, identities and swaps are injective maps,
-    which only move grades, graded factors still meet in the diagram's
-    order, and the one other law used is the exact commutativity of the
-    tensor on all four quantales (QuantObject's np' factor is joined
-    left of the B factor that the diagram composes first).
+    The value is the same bit for bit as composing the whole joined
+    state layer by layer: copies, identities and swaps are injective
+    maps, which only move grades; graded factors still meet in the
+    diagram's order; the tensor is exactly commutative on all four
+    quantales (QuantObject's np' factor is joined left of the B factor
+    that the diagram composes first); and each float tensor is monotone,
+    so t(max(x, y), z) == max(t(x, z), t(y, z)) exactly, which lets
+    DoubleQuant's first merge join the (np, v) grades by max before they
+    meet np'.
     """
     factors: List[VRel] = []
-    for layer, groups in _PLANS[form]:
-        if groups is None:
-            state = reduce(tensor_rel, factors)
+    for kind, layer, groups in _PLANS[form]:
+        if kind == "merge":
+            merges = [atom for atom in layer if atom.kind != "id"]
+            state = factors[0]
+            for right, atom in zip(factors[1:], merges):
+                state = merge_join(state, right, _atom_vrel(atom, model, wires, den))
+            factors = [state]
+            continue
+        if kind == "layer":
+            state, = factors
             rels, stride = [], 1
             for atom in reversed(layer):
                 rels.append(_atom_vrel(atom, model, wires, den, state, stride))
@@ -669,15 +703,17 @@ def eval_categorical(tree: ParseTree, model: Model, mode: str = "restricted") ->
         # The join enumerates at most one subset per wire crossing a
         # layer boundary, so the widest boundary bounds its cost: 2 wires
         # for the bare forms, 3 for QuantSubject and QuantObject, 6 for
-        # DoubleQuant.  The bound is looser than when every layer re-keyed
-        # the whole state: a copy or identity now re-keys only its own
-        # factor, and the widest state is built where the factors are
-        # joined.  The guard admits |P| up to 4472, 271 and 16 subsets.
+        # DoubleQuant.  The bound is looser than the work done: a copy
+        # or identity re-keys only its own factor, and a merge or cup
+        # (`vrel.merge_join`) meets two factors' entries pair by pair and
+        # stores only the merged state, never their tensor, refusing the
+        # pairs of factors whose tensor `tensor_rel` would refuse.  The
+        # guard admits |P| up to 4472, 271 and 16 subsets.
         # The bare forms stop earlier, at 1414 subsets: their cup is an
         # index map of |P|^2 positions, which `vrel.coname` refuses past
         # MAX_ENTRIES before building it (over the real quantales the
-        # state tensor reaches its own entry guard near 1600 subsets
-        # anyway).
+        # cup's `merge_join` reaches the tensor entry guard near 1600
+        # subsets anyway).
         width = max(sum(len(atom.wires_out) for atom in layer)
                     for layer in pipeline.layers)
         work = len(p) ** width

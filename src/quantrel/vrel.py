@@ -25,6 +25,11 @@ unchanged.  That keeps composites like
 (mu x mu) o (id x swap x id) o (delta x delta) linear in the size of
 their small end rather than in the size of the huge middle object.
 
+`merge_join` joins two states through a merge or cup that reads the
+last wire of the first and the first wire of the second: it is their
+tensor composed with that map, computed pair by pair without storing
+the tensor.
+
 identity, swap and epsilon are both what the snake and bialgebra law
 checkers certify and what the categorical evaluator wires its sentence
 pipelines from.  `name` and `coname` bend a relation X -> Y into a
@@ -39,6 +44,7 @@ they are safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from types import MappingProxyType
@@ -455,6 +461,66 @@ def tensor_rel(r: VRel, s: VRel) -> VRel:
             if g != bottom:
                 entries[(i1 * n_src2 + i2, j1 * n_tgt2 + j2)] = g
     return VRel(source, target, q, entries=entries)
+
+
+def _product(leaves) -> IndexSet:
+    return functools.reduce(IndexSet.tensor, leaves, IndexSet.unit())
+
+
+def merge_join(r: VRel, s: VRel, m: VRel) -> VRel:
+    """compose(tensor_rel(r, s), id(X) x m x id(Y)) for states r: I -> X x A
+    and s: I -> B x Y and an index map m: A x B -> C (a merge or a cup),
+    entry for entry, with the tensor never stored.
+
+    Each pair of an entry (x, a) of r and an entry (b, y) of s whose
+    row (a, b) of m has a target c meets once, tensor(r grade, s grade),
+    and the grades landing on one (x, c, y) are joined by max; m's
+    target list is read one row a at a time.  The guard is
+    `tensor_rel`'s, so this refuses exactly the states whose tensor
+    `tensor_rel` refuses to store."""
+    if not (r.source.is_unit() and s.source.is_unit()):
+        raise ShapeMismatchError("merge_join needs two states")
+    if not (r.quantale is s.quantale is m.quantale):
+        raise ShapeMismatchError("merge_join needs one quantale")
+    if not m.is_map():
+        raise ShapeMismatchError("merge_join needs an index map to merge by")
+    left = r.target.leaves or (r.target,)
+    right = s.target.leaves or (s.target,)
+    a_set, b_set = left[-1:], right[:1]
+    if m.source != _product(a_set + b_set):
+        raise ShapeMismatchError("merge_join: the map does not read the states' "
+                                 "last and first wires")
+    sizes = [1 if rel.is_map() else len(rel._entries) for rel in (r, s)]
+    if sizes[0] * sizes[1] > MAX_ENTRIES:
+        raise EnumerationLimitError(
+            f"tensor of {sizes[0]} by {sizes[1]} entries exceeds the entry guard")
+    q = r.quantale
+    n_a, n_b, n_c = len(a_set[0]), len(b_set[0]), len(m.target)
+    n_y = len(s.target) // n_b
+    by_a: Dict[int, List[Tuple[int, Grade]]] = {}
+    for (_, k), g in r.entries().items():
+        x, a = divmod(k, n_a)
+        by_a.setdefault(a, []).append((x * n_c * n_y, g))
+    pairs = [divmod(k, n_y) + (g,) for (_, k), g in s.entries().items()]
+    targets = m._targets()
+    tensor, bottom = q.tensor, q.bottom
+    acc: Dict[int, Grade] = {}
+    get = acc.get
+    for a, xs in by_a.items():
+        row = targets[a * n_b:(a + 1) * n_b]
+        for x, g1 in xs:
+            for b, y, g2 in pairs:
+                c = row[b]
+                if c < 0:
+                    continue
+                # Grades are above bottom, so g > bottom stores a new key.
+                g = tensor(g1, g2)
+                if g != bottom:
+                    k = x + c * n_y + y
+                    if g > get(k, bottom):
+                        acc[k] = g
+    target = _product(left[:-1] + (m.target,) + right[1:])
+    return VRel(r.source, target, q, entries={(0, k): g for k, g in acc.items()})
 
 
 def name(r: VRel) -> VRel:

@@ -11,13 +11,14 @@ subset to each wire, of the tensor of its factors in diagram order:
 
 A word's factor is the state row of its denotation, a verb's at A that
 of A's image, and d(A, G) is `entry(d, A, G)`; the state is `point`
-over the Boolean quantale and `proportion` over the real ones.
-QuantObject joins over A before it meets n and d, as the evaluator's
-verb layer does (a flat join over 64^3 triples takes seconds).  That
-is exact over Fractions, where the tensor is monotone, but the float
-Łukasiewicz tensor is not (T(1, o) = o by its unit law, while T(x, o)
-for x just below 1 can round above o), so there the float oracle
-follows the evaluator's join order.
+over the Boolean quantale and `proportion` over the real ones.  The
+QuantSubject reading "d n v np" takes as vp the set x ↦ max_y min(v(x, y),
+np(y)).  QuantObject joins over A before it meets n and d, as the
+evaluator's verb layer does (a flat join over 64^3 triples takes
+seconds).  Every tensor is monotone, in floats too (tests/test_quantale.py
+pins it, the float Łukasiewicz unit shortcut included), so it
+distributes over max and the early join gives the flat join's value
+bit for bit in either arithmetic.
 
 The oracle reads only the model's data (grade tuples, `verb.rows`, the
 quantale, the threshold, a determiner's `kind`, `n` and `breakpoints`)
@@ -113,6 +114,16 @@ class _Factors:
         a = tuple(map(self.num, getattr(self.model, group)[word].grades))
         return self.state(self.members, a, self.t)
 
+    def vp(self, word, np=None):
+        """A verb phrase's state row: the word's own, or for a transitive
+        verb and its object np that of x ↦ max_y min(v(x, y), np(y))."""
+        if np is None:
+            return self.word("vps", word)
+        obj = tuple(map(self.num, self.model.nps[np].grades))
+        a = tuple(max((min(self.num(g), obj[y]) for y, g in row), default=self.num(0))
+                  for row in self.model.verbs[word].rows)
+        return self.state(self.members, a, self.t)
+
     def verb(self, word):
         """v(A, B), indexed [A][B]: one state row per distinct image."""
         rows = [[(y, self.num(g)) for y, g in row] for row in self.model.verbs[word].rows]
@@ -131,8 +142,8 @@ def bare_intransitive(f, np, vp):
     return max(f.tensor(s[a], v[a]) for a in f.idx)
 
 
-def quant_subject(f, det, noun, vp):
-    d, n, v = f.det(det), f.word("nouns", noun), f.word("vps", vp)
+def quant_subject(f, det, noun, *vp):
+    d, n, v = f.det(det), f.word("nouns", noun), f.vp(*vp)
     return max(f.tensor(f.tensor(n[a], v[b]), d[a][b]) for a in f.idx for b in f.idx)
 
 
@@ -164,6 +175,4 @@ FORMS = {SentenceForm.BARE_INTRANSITIVE: bare_intransitive,
 def score(model, sentence, num=float):
     """The oracle's value of a sentence in the arithmetic `num`."""
     tree = parse(tokenize(sentence, model))
-    if classify(tree) == SentenceForm.QUANT_SUBJECT and not tree.children[1].is_leaf():
-        raise NotImplementedError("the oracle does not derive the VP of a 'd n v np' sentence")
     return num(FORMS[classify(tree)](_Factors(model, num), *tree.leaves()))

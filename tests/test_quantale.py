@@ -1,3 +1,6 @@
+import math
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -94,6 +97,41 @@ def test_tensor_is_monotone_in_each_argument(q, data):
     lo, hi = min(a, b), max(a, b)
     assert q.tensor(lo, c) <= q.tensor(hi, c)
     assert q.tensor(c, lo) <= q.tensor(c, hi)
+
+
+def _adversarial_grades():
+    """The 64 floats just below 1, the ten grades round(i/9, 4), the
+    hundredths, the float neighbours of all of these, and random draws,
+    ascending."""
+    below_one = [1.0]
+    for _ in range(64):
+        below_one.append(math.nextafter(below_one[-1], 0.0))
+    base = below_one + [round(i / 9, 4) for i in range(10)] + [i / 100 for i in range(101)]
+    near = {math.nextafter(g, d) for g in base for d in (0.0, 1.0)}
+    rng = random.Random(23)
+    return sorted(set(base) | near | {rng.random() for _ in range(100)})
+
+
+@pytest.mark.parametrize("q", ALL, ids=lambda q: q.name)
+def test_float_tensor_is_monotone_and_distributes_over_max_exactly(q):
+    """In floats, with no tolerance: t is monotone in each argument and
+    t(max(x, y), z) == max(t(x, z), t(y, z)), on a grid built to break
+    rounding (the Lukasiewicz unit shortcut returns z at x = 1 while
+    x + z - 1 rounds for x just below 1).  The evaluator's merge step
+    joins a factor's grades by max before they meet the next factor's,
+    so its values are bit for bit those of the whole joined tensor."""
+    grid = _adversarial_grades()
+    assert len(grid) > 400 and grid[0] == 0.0 and grid[-1] == 1.0
+    t = q.tensor
+    for z in grid:
+        column = [t(x, z) for x in grid]
+        assert all(lo <= hi for lo, hi in zip(column, column[1:])), z
+        row = [t(z, x) for x in grid]
+        assert all(lo <= hi for lo, hi in zip(row, row[1:])), z
+    rng = random.Random(29)
+    for _ in range(20_000):
+        x, y, z = rng.choice(grid), rng.choice(grid), rng.choice(grid)
+        assert t(max(x, y), z) == max(t(x, z), t(y, z)), (x, y, z)
 
 
 @pytest.mark.parametrize("q", ALL, ids=lambda q: q.name)

@@ -459,24 +459,46 @@ def test_exhaustive_quant_subject_grades_only_conservative_pairs(monkeypatch):
 
 
 def test_contraction_plans_join_only_where_atoms_meet():
-    """Each form joins its factors at its merges, cups, verbs and
-    determiners and nowhere else, and a swap across two factors makes
-    its layer a join."""
+    """Each form joins two factors only at its merges and cups (m), meets
+    a single factor at its verbs and determiners (l) and maps factor by
+    factor everywhere else (f); a swap across two factors is refused."""
     from quantrel.semantics import _PLANS, _contraction_plan, _eps, _sigma, _state
-    steps = {form: "".join("j" if groups is None else "f" for _, groups in plan)
-             for form, plan in _PLANS.items()}
+    steps = {form: "".join(kind[0] for kind, _, _ in plan) for form, plan in _PLANS.items()}
     assert steps == {
-        qr.SentenceForm.BARE_INTRANSITIVE: "fj",
-        qr.SentenceForm.QUANT_SUBJECT: "ffjj",
-        qr.SentenceForm.BARE_TRANSITIVE: "fjfj",
-        qr.SentenceForm.QUANT_OBJECT: "fjffjj",
-        qr.SentenceForm.DOUBLE_QUANT: "ffjfj",
+        qr.SentenceForm.BARE_INTRANSITIVE: "fm",
+        qr.SentenceForm.QUANT_SUBJECT: "ffml",
+        qr.SentenceForm.BARE_TRANSITIVE: "flfm",
+        qr.SentenceForm.QUANT_OBJECT: "flffml",
+        qr.SentenceForm.DOUBLE_QUANT: "ffmfl",
     }
     crossing = qr.MorphismPipeline(qr.SentenceForm.BARE_INTRANSITIVE, (
         (_state("np", "A"), _state("vp", "B")), (_sigma("A", "B"),), (_eps("B", "A"),)))
     crossing.check_types()
-    assert [groups is None for _, groups in _contraction_plan(crossing)] == \
-        [False, True, True]
+    with pytest.raises(qr.ShapeMismatchError, match="neither maps one by one nor merges"):
+        _contraction_plan(crossing)
+
+
+def test_exhaustive_stores_no_joined_state(monkeypatch):
+    """Every form, both QuantSubject readings included, contracts its
+    merges and cups by `vrel.merge_join`: no `tensor_rel` call in
+    exhaustive mode takes the tensor of two states."""
+    model = randomize_model(qr.load_lexicon(_route_lexicon(2, [0, 0.5, 1], "product")),
+                            random.Random(5))
+    operands = []
+    tensor_rel = qr.semantics.tensor_rel
+
+    def recording(r, s):
+        operands.append((r, s))
+        return tensor_rel(r, s)
+
+    monkeypatch.setattr(qr.semantics, "tensor_rel", recording)
+    sentences = _all_sentences(model)
+    forms = {qr.classify(_tree(s, model)) for s in sentences}
+    assert forms == set(qr.SentenceForm) and len(sentences) > 100
+    for sentence in sentences:
+        qr.eval_categorical(_tree(sentence, model), model, "exhaustive")
+    assert operands
+    assert not any(r.source.is_unit() and s.source.is_unit() for r, s in operands)
 
 
 def _layered_value(form, model, wires, den):
@@ -528,8 +550,9 @@ def _all_sentences(model, forms=tuple(qr.SentenceForm), rng=None, most=None):
     nps, vps, verbs = sorted(model.nps), sorted(model.vps), sorted(model.verbs)
     by_form = {
         qr.SentenceForm.BARE_INTRANSITIVE: [f"{a} {v}" for a in nps for v in vps],
-        qr.SentenceForm.QUANT_SUBJECT: [f"{d} {n} {v}" for d in dets for n in nouns
-                                        for v in vps],
+        qr.SentenceForm.QUANT_SUBJECT: (
+            [f"{d} {n} {v}" for d in dets for n in nouns for v in vps]
+            + [f"{d} {n} {v} {b}" for d in dets for n in nouns for v in verbs for b in nps]),
         qr.SentenceForm.BARE_TRANSITIVE: [f"{a} {v} {b}" for a in nps for v in verbs
                                           for b in nps],
         qr.SentenceForm.QUANT_OBJECT: [f"{a} {v} {d} {n}" for a in nps for v in verbs
@@ -570,21 +593,28 @@ def test_factorized_contraction_equals_layered_exhaustive(quantale, monkeypatch)
     """Exhaustive mode: the factor-by-factor contraction equals, with ==,
     the layer-by-layer composition of the whole state, on up to 24
     sentences of each form over random models at |P| = 8 or 9 (all five
-    forms, sigma-count thresholds 0 and 0.3) and |P| = 16 or 27 (all but
-    DoubleQuant, which the work guard refuses there)."""
+    forms, sigma-count thresholds 0 and 0.3; over the real quantales the
+    0.3 cell's lattice [0, 0.25, 1] has a grade the threshold drops) and
+    |P| = 16 or 27 (all but DoubleQuant, which the work guard refuses
+    there)."""
     crisp = quantale == "boolean"
     rng = random.Random(f"routes:{quantale}")
     forms = tuple(qr.SentenceForm)
     no_double = tuple(f for f in forms if f is not qr.SentenceForm.DOUBLE_QUANT)
     cells = ([(3, [0, 1], forms, 0.0), (3, [0, 1], forms, 0.3), (4, [0, 1], no_double, 0.0)]
              if crisp else
-             [(2, [0, 0.5, 1], forms, 0.0), (2, [0, 0.5, 1], forms, 0.3),
+             [(2, [0, 0.5, 1], forms, 0.0), (2, [0, 0.25, 1], forms, 0.3),
               (3, [0, 0.5, 1], no_double, 0.0)])
     values, runs = [], 0
     for size, grades, forms, threshold in cells:
         template = qr.load_lexicon(_route_lexicon(size, grades, quantale, threshold))
         model = randomize_model(template, rng, crisp=crisp)
-        assert len(model.powerset().index) <= 27
+        p = model.powerset().index
+        assert len(p) <= 27
+        if threshold and not crisp:
+            # The cell is not threshold 0 again: 0.3 drops the grade 0.25.
+            assert any(not qr.lexical_state(fs, p, model.quantale, threshold).equal(
+                qr.lexical_state(fs, p, model.quantale)) for _, fs in model.iter_sets())
         got, n = _routes_agree(monkeypatch, model, _all_sentences(model, forms, rng, 24),
                                "exhaustive")
         values += got
@@ -596,16 +626,16 @@ def test_factorized_contraction_equals_layered_exhaustive(quantale, monkeypatch)
 
 @pytest.mark.parametrize("quantale", ["godel", "product", "lukasiewicz"])
 def test_factorized_contraction_equals_layered_at_64_subsets(quantale, monkeypatch):
-    """The |P| = 64 QuantSubject of `_object_lexicon`, where the copy of
-    np re-keys 64 entries instead of the 64 x 64 of np (x) vp.  "walk"
-    holds almost every element, so its full-subset state meets a
-    proportion of 1 and the join is not the unit."""
+    """The |P| = 64 QuantSubject of `_object_lexicon`, both readings,
+    where the copy of np re-keys 64 entries instead of the 64 x 64 of
+    np (x) vp.  "walk" holds almost every element, so its full-subset
+    state meets a proportion of 1 and the join is not the unit."""
     data = _object_lexicon(quantale)
     data["vps"]["walk"] = {"u0": 1.0, "u1": 1.0, "u2": 0.75}
     model = qr.load_lexicon(data)
     sentences = _all_sentences(model, (qr.SentenceForm.QUANT_SUBJECT,))
     values, runs = _routes_agree(monkeypatch, model, sentences, "exhaustive")
-    assert runs == len(sentences) == 6
+    assert runs == len(sentences) == 12
     assert all(isinstance(v, float) for v in values)
     assert any(0.0 < v < 1.0 for v in values)
 

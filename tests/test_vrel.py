@@ -164,6 +164,71 @@ def test_tensor_stores_unless_both_factors_are_maps(q):
     assert calls == []
 
 
+def _around(m, x, y, q):
+    """id(x) (x) m (x) id(y), where None stands for the unit."""
+    if x is not None:
+        m = qr.tensor_rel(qr.identity(x, q), m)
+    return m if y is None else qr.tensor_rel(m, qr.identity(y, q))
+
+
+@pytest.mark.parametrize("q", ALL, ids=lambda q: q.name)
+def test_merge_join_equals_its_definition(q):
+    """merge_join(r, s, m) is compose(tensor_rel(r, s), id (x) m (x) id)
+    entry for entry, with no tolerance: m a merge over a whole powerset,
+    a merge into a restricted set that lacks some meets (target -1), and
+    a cup, each with and without wires beside the ones it reads."""
+    rng = random.Random(17)
+    p = qr.PowersetObject(qr.IndexSet(["a", "b"]),
+                          qr.GradeLattice((0, 1) if q is qr.BOOLEAN else (0, 0.5, 1))).index
+    restricted = qr.IndexSet(p.elements[len(p) // 2:])
+    assert any(qr.PowersetObject.meet(x, y) not in restricted
+               for x in p.elements for y in p.elements)
+    x, y = _sets(2, 3)
+    maps = [qr.mu(p, p, p, q), qr.mu(p, p, restricted, q), qr.epsilon(p, q)]
+    cases = 0
+    for m in maps:
+        for left in (None, x):
+            for right in (None, y, p):
+                for density in (0.3, 1.0):
+                    r = _random_vrel(qr.IndexSet.unit(), p if left is None else left.tensor(p),
+                                     q, rng, density)
+                    s = _random_vrel(qr.IndexSet.unit(), p if right is None else p.tensor(right),
+                                     q, rng, density)
+                    want = qr.compose(qr.tensor_rel(r, s), _around(m, left, right, q))
+                    got = qr.merge_join(r, s, m)
+                    assert got.equal(want, tol=0.0) and not got.is_map()
+                    cases += bool(want.entries())
+    assert cases >= 18
+    with pytest.raises(qr.ShapeMismatchError, match="last and first wires"):
+        qr.merge_join(r, s, qr.epsilon(x, q))
+
+
+@pytest.mark.parametrize("q", ALL, ids=lambda q: q.name)
+def test_merge_join_guard_is_the_tensor_guard(q, monkeypatch):
+    """merge_join refuses exactly the pairs of states, stored or maps,
+    whose tensor `tensor_rel` refuses to store."""
+    s = qr.IndexSet(range(12))
+    m = qr.epsilon(s, q)
+    monkeypatch.setattr(qr.vrel, "MAX_ENTRIES", 40)
+    unit = qr.IndexSet.unit()
+    states = [qr.VRel(unit, s, q, entries={(0, j): 1.0 for j in range(n)})
+              for n in (0, 1, 3, 4, 5, 8, 10, 12)]
+    states += [qr.VRel(unit, s, q, index_map=[7]), qr.VRel(unit, s, q, index_map=[-1])]
+    refused = 0
+    for r in states:
+        for t in states:
+            try:
+                qr.tensor_rel(r, t)
+            except qr.EnumerationLimitError:
+                refused += 1
+                with pytest.raises(qr.EnumerationLimitError):
+                    qr.merge_join(r, t, m)
+            else:
+                assert qr.merge_join(r, t, m).equal(
+                    qr.compose(qr.tensor_rel(r, t), m))
+    assert 0 < refused < len(states) ** 2
+
+
 def test_interchange_law():
     rng = random.Random(5)
     for q in ALL:
