@@ -26,8 +26,8 @@ from .lexicon import dump_lexicon, load_lexicon
 from .quantale import by_name
 from .sampling import (available_forms, crisp_determiners, graded_determiners,
                        randomize_model, sample_sentence)
-from .semantics import (METHODS, MODES, degree_of_truth, eval_categorical,
-                        eval_crisp_truth)
+from .semantics import (METHODS, MODES, bind, degree_of_truth,
+                        eval_categorical, eval_crisp_truth)
 from .grammar import parse as parse_sentence
 from .grammar import tokenize
 from .vrel import CrispRel, IndexSet, compose, include, snake_identities
@@ -168,10 +168,9 @@ def cmd_oracle(args) -> int:
             model = randomize_model(template, rng, crisp=True)
             form = forms[trial % len(forms)]
             sentence = sample_sentence(model, form, rng, crisp)
-            tokens = tokenize(sentence, model)
-            tree = parse_sentence(tokens)
-            truth = eval_crisp_truth(tree, model)
-            value = eval_categorical(tree, model)
+            den = bind(parse_sentence(tokenize(sentence, model)), model)
+            truth = eval_crisp_truth(den, model)
+            value = eval_categorical(den, model)
             if (value == 1.0) != truth:
                 mismatches += 1
                 if counterexample is None:

@@ -7,11 +7,19 @@ categorical  compilation of the parse into a relation pipeline over
            enumerated graded subsets, evaluated to the single entry of
            a unit-to-unit relation.
 
-Each evaluator binds its sentence to the model in one place,
-`_Denotations`, which reads every role from the parse tree and resolves
-its word once.  A pipeline depends only on the sentence form, so the
-five are built when the module loads, and words reach one only as the
-denotations its state and determiner atoms take by label.
+A sentence meets a model in one place, `_Denotations`, which reads
+every role from the parse tree and resolves its word once.  One binding
+per report, shared derived sets: each evaluator takes a parse tree or
+such a binding (`bind`), and a report makes one binding and passes it
+to every evaluator it runs, so the routes share the sets the binding
+derives: the subject's image through the verb, and in doubly quantified
+sentences each determiner's argmax-scaled noun, each computed once, on
+first use.  The pipeline's `verb_relation` still computes its own
+images, and each DoubleQuant route still scores the verb between the
+scaled sets itself (`verb_between`).  A pipeline depends only on the
+sentence form, so the five are built when the module loads, and words
+reach one only as the denotations its state and determiner atoms take
+by label.
 
 The categorical evaluator has two modes.  Exhaustive mode enumerates
 every graded subset built from the model's grade lattice and takes the
@@ -66,7 +74,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Dict, List, Optional, Tuple, Union
 
 from .bialgebra import GradeLattice, PowersetObject, delta, mu
@@ -166,9 +174,13 @@ class _Denotations:
     This is the only place a sentence meets a model: each role is read
     from the parse tree and resolved in the model once, and the
     evaluators and pipeline atoms read the results by role or by atom
-    label (`by_label`)."""
+    label (`by_label`).  The sets two routes both derive from the roles
+    are computed on first use and kept (`subj_image`, `subj_scaled`,
+    `obj_scaled`); one that raised is not kept, so it raises again for
+    the next route that reads it."""
 
     def __init__(self, tree: ParseTree, model: Model):
+        self.model = model
         self.form = classify(tree)
         subject, predicate = tree.children
         self.subj_det, self.subj = _noun_phrase(subject, model, "subject")
@@ -197,6 +209,32 @@ class _Denotations:
     def fuzzy_sets(self):
         return [fs for fs in (self.subj, self.vp, self.obj) if fs is not None]
 
+    @cached_property
+    def subj_image(self) -> FuzzySet:
+        """The subject's max-min image through the verb."""
+        return verb_image(self.verb, self.subj)
+
+    @cached_property
+    def subj_scaled(self) -> FuzzySet:
+        """The subject noun scaled by its determiner's argmax."""
+        return apply_quantifier_argmax(self.subj_det, self.subj)
+
+    @cached_property
+    def obj_scaled(self) -> FuzzySet:
+        """The object noun scaled by its determiner's argmax."""
+        return apply_quantifier_argmax(self.obj_det, self.obj)
+
+
+def bind(tree: Union[ParseTree, _Denotations], model: Model) -> _Denotations:
+    """The binding of a parse tree to the model; a binding already made
+    for this model is returned as it is, so every evaluator it is passed
+    to shares its derived sets."""
+    if not isinstance(tree, _Denotations):
+        return _Denotations(tree, model)
+    if tree.model is not model:
+        raise EvaluationError("the sentence was bound to a different model")
+    return tree
+
 
 def verb_between(verb: FuzzyRelation, subj: FuzzySet, obj: FuzzySet) -> float:
     """max over pairs (a, b) of min(subj(a), verb(a, b), obj(b)): the
@@ -207,18 +245,21 @@ def verb_between(verb: FuzzyRelation, subj: FuzzySet, obj: FuzzySet) -> float:
 
 def _operational_double_quant(den: _Denotations) -> float:
     """Apply each determiner to its noun by argmax scaling, then score
-    the verb between the two resulting sets at membership level."""
-    subj_q = apply_quantifier_argmax(den.subj_det, den.subj)
-    obj_q = apply_quantifier_argmax(den.obj_det, den.obj)
-    return verb_between(den.verb, subj_q, obj_q)
+    the verb between the two resulting sets at membership level.
+
+    The scaled sets are the binding's, so a report that runs both routes
+    on one binding scans each determiner's grid once; each route still
+    scores the verb between them itself."""
+    return verb_between(den.verb, den.subj_scaled, den.obj_scaled)
 
 
 # -- crisp evaluation -------------------------------------------------------
 
 
-def eval_crisp_truth(tree: ParseTree, model: Model) -> bool:
-    """Classical truth over crisp sets per the generalized-quantifier reading."""
-    den = _Denotations(tree, model)
+def eval_crisp_truth(tree: Union[ParseTree, _Denotations], model: Model) -> bool:
+    """Classical truth over crisp sets per the generalized-quantifier
+    reading, of a parse tree or a binding (`bind`)."""
+    den = bind(tree, model)
     form = den.form
     for fs in den.fuzzy_sets():
         if not fs.is_crisp():
@@ -236,12 +277,12 @@ def eval_crisp_truth(tree: ParseTree, model: Model) -> bool:
     if form == SentenceForm.BARE_INTRANSITIVE:
         return bool(den.vp.support() & subj)
     if form == SentenceForm.BARE_TRANSITIVE:
-        return bool(verb_image(den.verb, den.subj).support() & den.obj.support())
+        return bool(den.subj_image.support() & den.obj.support())
     if form == SentenceForm.QUANT_SUBJECT:
         return gq_holds(den.subj_det, subj, den.vp.support() & subj)
     if form == SentenceForm.QUANT_OBJECT:
         obj = den.obj.support()
-        return gq_holds(den.obj_det, obj, obj & verb_image(den.verb, den.subj).support())
+        return gq_holds(den.obj_det, obj, obj & den.subj_image.support())
     # DOUBLE_QUANT: object condition nested inside the subject condition.
     obj = den.obj.support()
     u = model.universe
@@ -255,9 +296,10 @@ def eval_crisp_truth(tree: ParseTree, model: Model) -> bool:
 # -- direct fuzzy evaluation ------------------------------------------------
 
 
-def eval_zadeh_direct(tree: ParseTree, model: Model) -> float:
-    """Score the sentence with the fuzzy-quantifier formulas."""
-    den = _Denotations(tree, model)
+def eval_zadeh_direct(tree: Union[ParseTree, _Denotations], model: Model) -> float:
+    """Score a parse tree or a binding (`bind`) with the fuzzy-quantifier
+    formulas."""
+    den = bind(tree, model)
     form = den.form
     t = model.threshold
 
@@ -266,10 +308,9 @@ def eval_zadeh_direct(tree: ParseTree, model: Model) -> float:
     if form == SentenceForm.QUANT_SUBJECT:
         return apply_distribution(den.subj_det, proportion(den.vp, den.subj, t))
     if form == SentenceForm.QUANT_OBJECT:
-        image = verb_image(den.verb, den.subj)
-        return apply_distribution(den.obj_det, proportion(image, den.obj, t))
+        return apply_distribution(den.obj_det, proportion(den.subj_image, den.obj, t))
     if form == SentenceForm.BARE_TRANSITIVE:
-        return proportion(verb_image(den.verb, den.subj), den.obj, t)
+        return proportion(den.subj_image, den.obj, t)
     # DOUBLE_QUANT
     return _operational_double_quant(den)
 
@@ -663,7 +704,7 @@ def _restricted_wires(den: _Denotations) -> Dict[str, IndexSet]:
         return {"A": w_a, "A1": w_a, "A2": w_a, "B": w_b, "G": IndexSet([meet])}
     if den.form == SentenceForm.QUANT_OBJECT:
         np_t = den.subj.as_tuple()
-        image = verb_image(den.verb, den.subj).as_tuple()
+        image = den.subj_image.as_tuple()
         n_t = den.obj.as_tuple()
         meet = tuple(map(min, image, n_t))
         w_c = IndexSet([n_t])
@@ -675,7 +716,7 @@ def _restricted_wires(den: _Denotations) -> Dict[str, IndexSet]:
         return {"A": shared, "B": shared}
     if den.form == SentenceForm.BARE_TRANSITIVE:
         np_t = den.subj.as_tuple()
-        image = verb_image(den.verb, den.subj).as_tuple()
+        image = den.subj_image.as_tuple()
         obj_t = den.obj.as_tuple()
         shared = IndexSet(dict.fromkeys([image, obj_t, tuple(map(min, image, obj_t))]))
         return {"A": IndexSet([np_t]), "B": shared, "C": shared}
@@ -685,16 +726,17 @@ def _restricted_wires(den: _Denotations) -> Dict[str, IndexSet]:
 EXHAUSTIVE_WORK_GUARD = 20_000_000
 
 
-def eval_categorical(tree: ParseTree, model: Model, mode: str = "restricted") -> float:
-    """Evaluate the compiled relation pipeline of the sentence.
+def eval_categorical(tree: Union[ParseTree, _Denotations], model: Model,
+                     mode: str = "restricted") -> float:
+    """Evaluate the compiled relation pipeline of a parse tree or a
+    binding (`bind`).
 
     mode "restricted" joins over the proof-relevant candidate subsets
     only; mode "exhaustive" joins over every graded subset of the
     model's grade lattice.
     """
-    if mode not in MODES:
-        raise QuantrelError(f"unknown mode {mode!r}")
-    den = _Denotations(tree, model)
+    _check_mode(mode)
+    den = bind(tree, model)
     form = den.form
     pipeline = _PIPELINES[form]
 
@@ -760,22 +802,31 @@ METHODS = ("crisp", "direct", "categorical", "both")
 MODES = ("restricted", "exhaustive")
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in MODES:
+        raise QuantrelError(f"unknown mode {mode!r}; choose from {MODES}")
+
+
 def degree_of_truth(sentence: str, model: Model, method: str = "both",
                     mode: str = "restricted") -> TruthReport:
-    """Parse, classify and evaluate a sentence by the requested method(s)."""
+    """Parse, classify and evaluate a sentence by the requested method(s).
+
+    The sentence is bound to the model once, and every evaluator the
+    method runs reads that binding, so "both" computes the sets its two
+    routes share once."""
     if method not in METHODS:
         raise QuantrelError(f"unknown method {method!r}; choose from {METHODS}")
-    tokens = tokenize(sentence, model)
-    tree = parse(tokens)
-    form = classify(tree)
+    _check_mode(mode)
+    tree = parse(tokenize(sentence, model))
+    den = bind(tree, model)
     values: Dict[str, Union[bool, float]] = {}
     if method == "crisp":
-        values["crisp"] = eval_crisp_truth(tree, model)
+        values["crisp"] = eval_crisp_truth(den, model)
     if method in ("direct", "both"):
-        values["direct"] = eval_zadeh_direct(tree, model)
+        values["direct"] = eval_zadeh_direct(den, model)
     if method in ("categorical", "both"):
-        values["categorical"] = eval_categorical(tree, model, mode)
+        values["categorical"] = eval_categorical(den, model, mode)
     diff = None
     if method == "both":
         diff = abs(values["direct"] - values["categorical"])
-    return TruthReport(sentence, tree, form, method, mode, values, diff)
+    return TruthReport(sentence, tree, den.form, method, mode, values, diff)

@@ -921,6 +921,11 @@ def test_degree_of_truth_report(animals):
     assert set(report.values) == {"direct", "categorical"}
     with pytest.raises(qr.QuantrelError):
         qr.degree_of_truth("several cats sleep", animals, method="warp")
+    # The mode is checked up front too, whatever the method, so no report
+    # carries a mode that does not exist.
+    for method in qr.semantics.METHODS:
+        with pytest.raises(qr.QuantrelError, match="unknown mode 'warp'"):
+            qr.degree_of_truth("several cats sleep", animals, method=method, mode="warp")
 
 
 def test_degree_of_truth_crisp_method(crisp):
@@ -940,3 +945,154 @@ def test_degree_of_truth_crisp_method(crisp):
                                       "breakpoints": [list(b) for b in SEVERAL_BPS]}
     with pytest.raises(qr.EvaluationError, match="determiner 'several' is graded"):
         qr.degree_of_truth("several men sneeze", qr.load_lexicon(data), method="crisp")
+
+
+# -- one binding per report ---------------------------------------------------
+
+
+def _count_calls(patch, name):
+    """Record the arguments of every call of `semantics.<name>`."""
+    calls = []
+    original = getattr(qr.semantics, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    patch.setattr(qr.semantics, name, counted)
+    return calls
+
+
+def test_a_report_shares_one_binding_between_its_routes(animals, monkeypatch):
+    """A "both" report binds its sentence once: DoubleQuant scans each
+    determiner's argmax grid once (two calls, not four), and QuantObject
+    and BareTransitive take the subject's image through the verb once
+    (one call, not two).  Each DoubleQuant route still scores the verb
+    between the scaled sets itself."""
+    model = _with_plants_np(animals)
+    argmax = _count_calls(monkeypatch, "apply_quantifier_argmax")
+    image = _count_calls(monkeypatch, "verb_image")
+    report = qr.degree_of_truth("several mice eat most plants", model)
+    assert report.diff == 0.0 and report.values["direct"] == pytest.approx(0.28, abs=1e-9)
+    assert [d.name for d, _ in argmax] == ["several", "most"]
+    assert len(image) == 2
+    subject = (model.verbs["eat"], model.nps["mice"])
+    for sentence in ("mice eat several plants", "mice eat plants"):
+        image.clear()
+        report = qr.degree_of_truth(sentence, model)
+        assert report.diff == 0.0
+        assert image == [subject], sentence
+    # The oracle's crisp loop shares one binding in the same way.
+    crisp = qr.load_lexicon(crisp_lexicon())
+    image.clear()
+    den = qr.semantics.bind(_tree("john liked some trees", crisp), crisp)
+    assert qr.eval_crisp_truth(den, crisp) is True
+    assert qr.eval_categorical(den, crisp) == 1.0
+    assert image == [(crisp.verbs["liked"], crisp.nps["john"])]
+
+
+def _outcome(evaluate):
+    try:
+        return evaluate()
+    except qr.QuantrelError as err:
+        return f"{type(err).__name__}: {err}"
+
+
+@pytest.mark.parametrize("quantale", ["godel", "product", "lukasiewicz", "boolean"])
+def test_report_values_equal_separate_evaluator_calls(quantale):
+    """Every value of a report on one binding is == the value of the same
+    evaluator called on its own parse, and a report raises exactly what
+    its first failing evaluator raises: all five forms, every method, in
+    both modes, over random |P| = 8 or 9 models."""
+    crisp = quantale == "boolean"
+    template = qr.load_lexicon(_route_lexicon(3 if crisp else 2,
+                                              [0, 1] if crisp else [0, 0.5, 1], quantale))
+    rng = random.Random(f"report:{quantale}")
+    floats = []
+    for _ in range(3):
+        model = randomize_model(template, rng, crisp=crisp)
+        for sentence in _all_sentences(model, rng=rng, most=6):
+            for mode in qr.semantics.MODES:
+                tree = _tree(sentence, model)
+                alone = {
+                    "crisp": lambda: qr.eval_crisp_truth(tree, model),
+                    "direct": lambda: qr.eval_zadeh_direct(tree, model),
+                    "categorical": lambda: qr.eval_categorical(tree, model, mode),
+                }
+                for method in qr.semantics.METHODS:
+                    keys = ("direct", "categorical") if method == "both" else (method,)
+                    expected = {}
+                    for key in keys:
+                        value = _outcome(alone[key])
+                        if isinstance(value, str):
+                            expected = value
+                            break
+                        expected[key] = value
+                    got = _outcome(lambda: qr.degree_of_truth(sentence, model, method,
+                                                              mode).values)
+                    assert got == expected, (sentence, method, mode)
+                    if isinstance(got, dict):
+                        floats += [v for v in got.values() if type(v) is float]
+    assert len(floats) > 100
+    assert any(0.0 < v < 1.0 for v in floats) or crisp
+
+
+# -- restrictors of sigma-count zero -------------------------------------------
+
+
+EMPTY = "EmptyRestrictorError: proportion against a set of sigma-count zero"
+
+
+def _empty_restrictor_model(quantale):
+    data = _tiny_lexicon([0, 0.5, 1], quantale)
+    data["nouns"]["ghosts"] = {}
+    data["nps"]["nobody"] = {}
+    return qr.load_lexicon(data)
+
+
+@pytest.mark.parametrize("quantale", ["godel", "product", "lukasiewicz"])
+@pytest.mark.parametrize("sentence, restricted, exhaustive", [
+    ("several ghosts run", 0.0, 0.0),
+    ("every ghosts run", 0.0, 0.0),
+    ("john see several ghosts", 0.0, 0.0),
+    ("nobody run", 0.0, 0.0),
+    ("several ghosts see several men", EMPTY, 0.0),
+    ("several men see several ghosts", EMPTY, 0.0),
+])
+def test_sigma_count_zero_restrictor_per_route(quantale, sentence, restricted, exhaustive):
+    """What each route gives when a restrictor has sigma-count zero: the
+    direct route raises EmptyRestrictorError, and so does restricted
+    DoubleQuant, whose argmax scales the empty noun; the other
+    categorical routes join over a state with no entries and return 0.0.
+    A "both" report raises, as its direct route does."""
+    model = _empty_restrictor_model(quantale)
+    tree = _tree(sentence, model)
+    assert _outcome(lambda: qr.eval_zadeh_direct(tree, model)) == EMPTY
+    assert _outcome(lambda: qr.eval_categorical(tree, model)) == restricted
+    assert _outcome(lambda: qr.eval_categorical(tree, model, "exhaustive")) == exhaustive
+    for mode in qr.semantics.MODES:
+        assert _outcome(lambda: qr.degree_of_truth(sentence, model, mode=mode)) == EMPTY
+
+
+def test_a_binding_whose_derived_set_raised_raises_again(monkeypatch):
+    """A derived set that raised is not kept: the next route that reads it
+    computes it again and raises again."""
+    model = _empty_restrictor_model("godel")
+    argmax = _count_calls(monkeypatch, "apply_quantifier_argmax")
+    for sentence in ("several ghosts see several men", "several men see several ghosts"):
+        den = qr.semantics.bind(_tree(sentence, model), model)
+        for evaluate in (qr.eval_zadeh_direct, qr.eval_categorical):
+            with pytest.raises(qr.EmptyRestrictorError):
+                evaluate(den, model)
+    # An empty subject raises on each route.  With an empty object the
+    # subject's scaled set is kept, and only the object's scan reruns.
+    men, ghosts = model.nouns["men"], model.nouns["ghosts"]
+    assert [noun for _, noun in argmax] == [ghosts, ghosts, men, ghosts, ghosts]
+
+
+def test_a_binding_belongs_to_its_model(animals):
+    other = qr.load_lexicon(animal_lexicon())
+    den = qr.semantics.bind(_tree("several cats sleep", animals), animals)
+    assert qr.semantics.bind(den, animals) is den
+    with pytest.raises(qr.EvaluationError, match="different model"):
+        qr.eval_zadeh_direct(den, other)
