@@ -13,7 +13,8 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Collection, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Collection, Dict, List, Optional, Sequence, Tuple,
+                    Union)
 
 from .errors import (EmptyRestrictorError, EnumerationLimitError,
                      EvaluationError, QuantrelError)
@@ -204,10 +205,13 @@ def quantifier_vrel(d: Determiner, source: IndexSet, target: IndexSet,
     its sigma-count is summed once.  The entry guard counts the pairs
     graded.
 
-    The exhaustive categorical join grades only the pairs it reaches:
-    the determiner meets the merged scope A∧B with its restrictor A, so
-    every reached pair is a conservative pair (A, A∧B), scope below
-    restrictor pointwise, never all of P x P.
+    The exhaustive categorical join builds no such table: its effect
+    step reads the determiner through `pair_grader`, at only the pairs
+    its bounded scan visits (`vrel.bounded_effect`).  Those are pairs
+    the joined state reaches, and the determiner meets the merged scope
+    A∧B with its restrictor A, so each is a conservative pair (A, A∧B),
+    scope below restrictor pointwise, never all of P x P.  The layered
+    reference route of the tests still grades every reached pair here.
     """
     require_quantale(d, q)
     n_pairs = len(source) * len(target) if pairs is None else len(pairs)
@@ -228,6 +232,28 @@ def quantifier_vrel(d: Determiner, source: IndexSet, target: IndexSet,
             if g != q.bottom:
                 entries[(i, j)] = g
     return VRel(source, target, q, entries=entries)
+
+
+def pair_grader(d: Determiner, source: IndexSet, target: IndexSet,
+                threshold: float = 0.0) -> Callable[[int], Grade]:
+    """The determiner's grade at position k of source x target, row-major:
+    the entry `quantifier_vrel` holds at (k // |target|, k % |target|),
+    bottom where it stores none.
+
+    Each pair is graded on its first read, by a `graded_row` call with
+    that one scope, and kept, so no pair is graded twice."""
+    restrictors, scopes = source.elements, target.elements
+    n = len(target)
+    grades: Dict[int, Grade] = {}
+
+    def grade(k: int) -> Grade:
+        g = grades.get(k)
+        if g is None:
+            i, j = divmod(k, n)
+            g = grades[k] = graded_row(d, restrictors[i], (scopes[j],), threshold)[0]
+        return g
+
+    return grade
 
 
 def apply_quantifier_argmax(d: Determiner, np_set: FuzzySet) -> FuzzySet:

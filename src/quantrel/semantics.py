@@ -59,15 +59,24 @@ one factor and the first of the next, joins the factors pairwise, left
 to right, by `vrel.merge_join`, which never stores their tensor; and a
 verb or determiner layer then always meets a single factor.  So
 DoubleQuant's first merge collapses the subject and verb factors before
-the object factor is met.  A determiner is graded only at the
-(restrictor, scope) pairs the joined state reaches, never over all of
-P x P: the conservative pairs (A, A∧B), as its scope wire merges its
-restrictor with the scope.  State, verb and determiner tables are
-graded a restrictor's row at a time, so each sigma-count is summed
-once.  Each reached entry is the one the full table holds, and the
-value is the same bit for bit as composing the whole state layer by
-layer (see `_pipeline_value`): joining early by max is exact because
-every float tensor is monotone, so it distributes over max.
+the object factor is met.
+
+The determiners are the last layer, and no effect is built for them:
+the bounded effect step (`vrel.bounded_effect`) visits the joined
+state's entries by descending grade, grades the determiners at each
+visited entry's (restrictor, scope) pairs, and stops at the first state
+grade that is not above the best value found.  Its law: every tensor
+is monotone and keeps its unit exactly, so t(g, e) <= t(g, 1) == g,
+and no later entry can beat the best.  A determiner is so graded only
+at pairs the joined state reaches, never over all of P x P: the
+conservative pairs (A, A∧B), as its scope wire merges its restrictor
+with the scope.  State and verb tables are graded a restrictor's row
+at a time, so each sigma-count is summed once.  Each graded entry is
+the one the full table holds, and the value is the same bit for bit as
+composing the whole state layer by layer with the whole effect (see
+`_pipeline_value`): joining early by max is exact because every float
+tensor is monotone, so it distributes over max, and the effect step
+skips only candidates no better than the best.
 """
 
 from __future__ import annotations
@@ -84,11 +93,11 @@ from .fuzzyset import (FuzzyRelation, FuzzySet, image_grades, proportion,
                        proportion_row, verb_image)
 from .grammar import ParseTree, SentenceForm, classify, parse, tokenize
 from .quantale import Quantale
-from .quantifier import (Determiner, FuzzyQuantifier, apply_distribution,
-                         apply_quantifier_argmax, gq_holds, quantifier_vrel,
-                         require_quantale)
-from .vrel import (IndexSet, VRel, compose, coname, epsilon, identity,
-                   merge_join, name, swap, tensor_rel)
+from .quantifier import (CrispQuantifier, Determiner, FuzzyQuantifier,
+                         apply_distribution, apply_quantifier_argmax, gq_holds,
+                         pair_grader, quantifier_vrel, require_quantale)
+from .vrel import (IndexSet, VRel, bounded_effect, compose, coname, epsilon,
+                   identity, merge_join, name, swap, tensor_rel)
 
 
 @dataclass
@@ -412,8 +421,10 @@ def compile_pipeline(form: SentenceForm) -> MorphismPipeline:
     until a merge or cup reads it together with its neighbour
     (`_contraction_plan`): the cups of BareIntransitive and
     BareTransitive and the merges of QuantSubject, QuantObject and
-    DoubleQuant join two factors at a time, left to right, and the verbs
-    and determiners meet the one factor left.  Graded factors meet in the
+    DoubleQuant join two factors at a time, left to right, the verbs meet
+    the one factor left, and the determiners read it to the scalar from
+    its highest grade down, stopping once no grade left can beat the
+    best value (t(g, e) <= g).  Graded factors meet in the
     diagram's order (np, v, np', d, d'): the product and Lukasiewicz
     float tensors are not associative, so that order keeps values bit
     for bit.  QuantObject joins np' left of the verb's image, which the
@@ -474,9 +485,9 @@ _FACTORWISE = frozenset({"state", "verb_state", "delta", "id", "sigma"})
 _MERGES = frozenset({"mu", "eps"})
 
 
-def _contraction_plan(pipeline: MorphismPipeline) -> tuple:
+def _contraction_plan(pipeline: MorphismPipeline) -> Tuple[tuple, int]:
     """The steps `_pipeline_value` contracts the pipeline by, one per
-    layer: (kind, layer, groups).
+    layer: (kind, layer, groups), and the plan's work exponent.
 
     The composed state is a list of factors, one per group of wires that
     no atom has joined yet, in wire order.  A layer is
@@ -488,13 +499,23 @@ def _contraction_plan(pipeline: MorphismPipeline) -> tuple:
     - "merge" when its atoms other than identities are merges or cups,
       the i-th reading the last wire of factor i and the first wire of
       factor i + 1: it joins the factors left to right into one.
+    - "effect" when its atoms are all determiners, which meet a single
+      factor and read it to the scalar (`vrel.bounded_effect`).
     - "layer" when it meets a single factor, which is composed with the
-      whole layer (a verb, the determiners).
+      whole layer (a verb).
     Any other layer is a construction bug, as is a plan that does not
     end in one factor without wires: both raise ShapeMismatchError.
+
+    A step's work is at most |P| to the number of wires it meets: those
+    of each state it starts or factor it maps, of the two factors each
+    merge joins, or of the factor a layer meets together with the
+    layer's outputs.  The work exponent is the largest of these: 2 for
+    the bare forms, 3 for QuantSubject and QuantObject, 5 for
+    DoubleQuant (its second merge joins three wires to two).
     """
     factors: List[Tuple[str, ...]] = []
     plan = []
+    exponent = 0
     for layer in pipeline.layers:
         owner = {w: k for k, wires in enumerate(factors) for w in wires}
         groups: List[Tuple[Optional[int], List[Atom]]] = []
@@ -511,14 +532,25 @@ def _contraction_plan(pipeline: MorphismPipeline) -> tuple:
             plan.append(("factorwise", layer, tuple(
                 (k, () if all(atom.kind == "id" for atom in atoms) else tuple(atoms))
                 for k, atoms in groups)))
+            exponent = max([exponent] + [len(atoms[0].wires_out) if k is None
+                                         else len(factors[k]) for k, atoms in groups])
             factors = [tuple(w for atom in atoms for w in atom.wires_out)
                        for _, atoms in groups]
             continue
         if (all(atom.kind in _MERGES | {"id"} for atom in layer)
                 and merges == [(f[-1], g[0]) for f, g in zip(factors, factors[1:])]):
             plan.append(("merge", layer, None))
+            width = len(factors[0])
+            for f, atom in zip(factors[1:], (a for a in layer if a.kind != "id")):
+                exponent = max(exponent, width + len(f))
+                width += len(f) - 2 + len(atom.wires_out)
+        elif len(factors) == 1 and all(atom.kind == "det" for atom in layer):
+            plan.append(("effect", layer, None))
+            exponent = max(exponent, len(factors[0]))
         elif len(factors) == 1:
             plan.append(("layer", layer, None))
+            exponent = max(exponent, len(factors[0])
+                           + sum(len(atom.wires_out) for atom in layer))
         else:
             raise ShapeMismatchError(
                 f"a layer of {pipeline.form} meets factors {factors} "
@@ -527,10 +559,12 @@ def _contraction_plan(pipeline: MorphismPipeline) -> tuple:
     if factors != [()]:
         raise ShapeMismatchError(
             f"contraction plan of {pipeline.form} leaves factors {factors}")
-    return tuple(plan)
+    return tuple(plan), exponent
 
 
-_PLANS = {form: _contraction_plan(pipeline) for form, pipeline in _PIPELINES.items()}
+_PLANS, _WORK_EXPONENTS = {}, {}
+for _form, _pipeline in _PIPELINES.items():
+    _PLANS[_form], _WORK_EXPONENTS[_form] = _contraction_plan(_pipeline)
 
 
 # -- lexical state relations ------------------------------------------------
@@ -598,7 +632,9 @@ def _atom_vrel(atom: Atom, model: Model, wires: Dict[str, IndexSet],
     A det atom is graded only at the rows that `state`, the composite
     of the layers before its own, reaches: its digit of each position in
     the state's support, where `stride` is the product of the source
-    sizes of the atoms to its right in the layer."""
+    sizes of the atoms to its right in the layer.  The evaluator's
+    effect step reads determiners through `_det_effect` instead; this
+    whole effect is what the tests' layered route composes."""
     q, t = model.quantale, model.threshold
     ins = [wires[w] for w in atom.wires_in]
     outs = [wires[w] for w in atom.wires_out]
@@ -629,6 +665,45 @@ def _atom_vrel(atom: Atom, model: Model, wires: Dict[str, IndexSet],
     raise ShapeMismatchError(f"unknown pipeline atom {atom.kind!r}")
 
 
+def _det_effect(layer: Tuple[Atom, ...], model: Model, wires: Dict[str, IndexSet],
+                den: _Denotations, state: VRel):
+    """The effect of a layer of determiners at position k of the state
+    it meets, the function `vrel.bounded_effect` reads: the entry the
+    tensor of their conames holds at row k.
+
+    Each determiner's pair is its digit of k, as in `_atom_vrel`, graded
+    on first read (`quantifier.pair_grader`); two determiners combine
+    left to right by the tensor, as `tensor_rel` combines their effects
+    (the first meets the unit, which leaves it unchanged), and a bottom
+    grade of the first leaves the second unread.  An
+    "exactly" determiner refuses a graded restrictor or scope at every
+    pair the state reaches, as the whole effect would, so it is graded
+    at all of them up front."""
+    q, t = model.quantale, model.threshold
+    digits, stride = [], 1
+    for atom in reversed(layer):
+        source, target = (wires[w] for w in atom.wires_in)
+        size = len(source) * len(target)
+        d = den.by_label(atom.label)
+        grade = pair_grader(d, source, target, t)
+        if isinstance(d, CrispQuantifier) and d.kind == "exactly":
+            for _, k in state.entries():
+                grade(k // stride % size)
+        digits.insert(0, (stride, size, grade))
+        stride *= size
+    tensor, unit, bottom = q.tensor, q.unit, q.bottom
+
+    def effect(k: int) -> float:
+        e = unit
+        for stride, size, grade in digits:
+            e = tensor(e, grade(k // stride % size))
+            if e == bottom:
+                break
+        return e
+
+    return effect
+
+
 def _pipeline_value(form: SentenceForm, model: Model,
                     wires: Dict[str, IndexSet], den: _Denotations) -> float:
     """The scalar of the form's pipeline, contracted by its plan
@@ -641,17 +716,20 @@ def _pipeline_value(form: SentenceForm, model: Model,
     tensor of its own atoms, so a copy re-keys only the factor it copies.
     A layer of merges and cups joins the factors left to right, each
     merge or cup by `merge_join` of the state so far, the next factor
-    and its own map, so no tensor of two states is stored.  A verb or
-    determiner layer meets the single factor left and is composed with
-    it whole.
+    and its own map, so no tensor of two states is stored.  A verb layer
+    meets the single factor left and is composed with it whole.
 
-    `compose(state, layer)` reads the layer only at the rows in the
-    state's support, and each layer is built after the state it meets.
-    A det atom is therefore graded only at the (restrictor, scope) pairs
-    the state reaches, read from it at its digit of each reached row
-    (row-major, as `tensor_rel` lays them out).  Those are conservative
-    pairs (A, A∧B), since the scope wire is the merge of the restrictor
-    with the scope.
+    The determiner layer is the bounded effect step: `bounded_effect`
+    gives compose(state, effect).scalar() without building the effect.
+    It visits the state's entries by descending grade g and reads the
+    effect, the tensor of the determiners' conames, at each (`_det_effect`);
+    each determiner is graded at its digit of the entry's row
+    (row-major, as `tensor_rel` lays them out), once per pair.  The scan
+    stops at the first g not above the best value, since
+    t(g, e) <= t(g, 1) == g for every effect grade e.  So a determiner
+    is graded only at (restrictor, scope) pairs the state reaches, and
+    usually at few of them.  Those are conservative pairs (A, A∧B),
+    since the scope wire is the merge of the restrictor with the scope.
 
     The value is the same bit for bit as composing the whole joined
     state layer by layer: copies, identities and swaps are injective
@@ -661,7 +739,8 @@ def _pipeline_value(form: SentenceForm, model: Model,
     that the diagram composes first); and each float tensor is monotone,
     so t(max(x, y), z) == max(t(x, z), t(y, z)) exactly, which lets
     DoubleQuant's first merge join the (np, v) grades by max before they
-    meet np'.
+    meet np'.  The effect step drops only entries whose every candidate
+    is at most the best value, and max is exact.
     """
     factors: List[VRel] = []
     for kind, layer, groups in _PLANS[form]:
@@ -672,6 +751,10 @@ def _pipeline_value(form: SentenceForm, model: Model,
                 state = merge_join(state, right, _atom_vrel(atom, model, wires, den))
             factors = [state]
             continue
+        if kind == "effect":
+            state, = factors
+            effect = _det_effect(layer, model, wires, den, state)
+            return float(bounded_effect(state, effect))
         if kind == "layer":
             state, = factors
             rels, stride = [], 1
@@ -742,23 +825,25 @@ def eval_categorical(tree: Union[ParseTree, _Denotations], model: Model,
 
     if mode == "exhaustive":
         p = model.powerset()
-        # The join enumerates at most one subset per wire crossing a
-        # layer boundary, so the widest boundary bounds its cost: 2 wires
-        # for the bare forms, 3 for QuantSubject and QuantObject, 6 for
-        # DoubleQuant.  The bound is looser than the work done: a copy
-        # or identity re-keys only its own factor, and a merge or cup
-        # (`vrel.merge_join`) meets two factors' entries pair by pair and
-        # stores only the merged state, never their tensor, refusing the
-        # pairs of factors whose tensor `tensor_rel` would refuse.  The
-        # guard admits |P| up to 4472, 271 and 16 subsets.
+        # Each step of the contraction plan enumerates at most one
+        # subset per wire it meets, so the plan's work exponent bounds
+        # its cost (`_contraction_plan`): 2 for the bare forms, 3 for
+        # QuantSubject and QuantObject, 5 for DoubleQuant, whose second
+        # merge (`vrel.merge_join`) meets the three wires of the joined
+        # subject and verb and the two of the object's copy.  A copy or
+        # identity re-keys only its own factor, a merge or cup stores
+        # only the merged state, never the tensor of its two factors,
+        # refusing the pairs of factors whose tensor `tensor_rel` would
+        # refuse, and the bounded effect step (`vrel.bounded_effect`)
+        # reads the determiners at no more entries than the state it
+        # meets holds.  The guard admits |P| up to 4472, 271 and 28
+        # subsets.
         # The bare forms stop earlier, at 1414 subsets: their cup is an
         # index map of |P|^2 positions, which `vrel.coname` refuses past
         # MAX_ENTRIES before building it (over the real quantales the
         # cup's `merge_join` reaches the tensor entry guard near 1600
         # subsets anyway).
-        width = max(sum(len(atom.wires_out) for atom in layer)
-                    for layer in pipeline.layers)
-        work = len(p) ** width
+        work = len(p) ** _WORK_EXPONENTS[form]
         if work > EXHAUSTIVE_WORK_GUARD:
             raise EnumerationLimitError(
                 f"exhaustive join over {len(p)} subsets needs ~{work:.1e} steps "

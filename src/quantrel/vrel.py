@@ -28,7 +28,9 @@ their small end rather than in the size of the huge middle object.
 `merge_join` joins two states through a merge or cup that reads the
 last wire of the first and the first wire of the second: it is their
 tensor composed with that map, computed pair by pair without storing
-the tensor.
+the tensor.  `bounded_effect` reads a state through an effect to a
+scalar, as compose would, but visits the state's grades from the top
+and stops at the first that cannot beat the best value found.
 
 identity, swap and epsilon are both what the snake and bialgebra law
 checkers certify and what the categorical evaluator wires its sentence
@@ -48,7 +50,7 @@ import functools
 import itertools
 import math
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .errors import EnumerationLimitError, ShapeMismatchError
 from .quantale import Grade, Quantale
@@ -521,6 +523,34 @@ def merge_join(r: VRel, s: VRel, m: VRel) -> VRel:
                         acc[k] = g
     target = _product(left[:-1] + (m.target,) + right[1:])
     return VRel(r.source, target, q, entries={(0, k): g for k, g in acc.items()})
+
+
+def bounded_effect(r: VRel, effect: Callable[[int], Grade]) -> Grade:
+    """compose(r, e).scalar() for a state r: I -> X and an effect
+    e: X -> I given by `effect(k)`, its grade at position k of X
+    (bottom where e has no entry).
+
+    r's entries are visited by descending grade, and e is read only at
+    the positions visited.  The scan stops at the first grade g that is
+    not above the best value so far: every tensor is monotone and keeps
+    its unit law exactly, so tensor(g', e) <= tensor(g', unit) == g' <= g
+    for every later grade g' and every e, and no later entry can raise
+    the join.  This is the stopping rule of Fagin, Lotem and Naor's
+    threshold algorithm.  Max is exact, so the value is compose's bit
+    for bit."""
+    if not r.source.is_unit():
+        raise ShapeMismatchError("bounded_effect needs a state")
+    q = r.quantale
+    ent = r._entries if r._entries is not None else r.entries()
+    tensor, best = q.tensor, q.bottom
+    for key in sorted(ent, key=ent.__getitem__, reverse=True):
+        g = ent[key]
+        if g <= best:
+            break
+        v = tensor(g, effect(key[1]))
+        if v > best:
+            best = v
+    return best
 
 
 def name(r: VRel) -> VRel:

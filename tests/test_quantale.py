@@ -119,7 +119,9 @@ def test_float_tensor_is_monotone_and_distributes_over_max_exactly(q):
     rounding (the Lukasiewicz unit shortcut returns z at x = 1 while
     x + z - 1 rounds for x just below 1).  The evaluator's merge step
     joins a factor's grades by max before they meet the next factor's,
-    so its values are bit for bit those of the whole joined tensor."""
+    so its values are bit for bit those of the whole joined tensor.
+    And t(g, e) <= g, the bound the effect step stops on
+    (`vrel.bounded_effect`): no effect grade lifts a state grade."""
     grid = _adversarial_grades()
     assert len(grid) > 400 and grid[0] == 0.0 and grid[-1] == 1.0
     t = q.tensor
@@ -128,6 +130,7 @@ def test_float_tensor_is_monotone_and_distributes_over_max_exactly(q):
         assert all(lo <= hi for lo, hi in zip(column, column[1:])), z
         row = [t(z, x) for x in grid]
         assert all(lo <= hi for lo, hi in zip(row, row[1:])), z
+        assert all(g <= z for g in row), z
     rng = random.Random(29)
     for _ in range(20_000):
         x, y, z = rng.choice(grid), rng.choice(grid), rng.choice(grid)

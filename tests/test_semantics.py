@@ -452,7 +452,9 @@ def test_exhaustive_quant_subject_grades_only_conservative_pairs(monkeypatch):
     assert 0.0 < value <= 1.0
     assert all(all(y <= x for x, y in zip(a, b)) for a, b in calls)
     assert len(set(calls)) == len(calls)
-    assert 0 < len(calls) <= 1000
+    # The effect step stops at the first state grade that cannot beat
+    # the best value: 30 pairs, where grading every reached pair takes 699.
+    assert 0 < len(calls) <= 100
 
 
 # -- layered vs. factorized contraction --------------------------------------
@@ -460,16 +462,26 @@ def test_exhaustive_quant_subject_grades_only_conservative_pairs(monkeypatch):
 
 def test_contraction_plans_join_only_where_atoms_meet():
     """Each form joins two factors only at its merges and cups (m), meets
-    a single factor at its verbs and determiners (l) and maps factor by
-    factor everywhere else (f); a swap across two factors is refused."""
-    from quantrel.semantics import _PLANS, _contraction_plan, _eps, _sigma, _state
+    a single factor at its verbs (l), reads it to the scalar at its
+    determiners (e) and maps factor by factor everywhere else (f); a
+    swap across two factors is refused.  A plan's work exponent is the
+    most wires one step meets."""
+    from quantrel.semantics import (_PLANS, _WORK_EXPONENTS, _contraction_plan, _eps,
+                                    _sigma, _state)
     steps = {form: "".join(kind[0] for kind, _, _ in plan) for form, plan in _PLANS.items()}
     assert steps == {
         qr.SentenceForm.BARE_INTRANSITIVE: "fm",
-        qr.SentenceForm.QUANT_SUBJECT: "ffml",
+        qr.SentenceForm.QUANT_SUBJECT: "ffme",
         qr.SentenceForm.BARE_TRANSITIVE: "flfm",
-        qr.SentenceForm.QUANT_OBJECT: "flffml",
-        qr.SentenceForm.DOUBLE_QUANT: "ffmfl",
+        qr.SentenceForm.QUANT_OBJECT: "flffme",
+        qr.SentenceForm.DOUBLE_QUANT: "ffmfe",
+    }
+    assert _WORK_EXPONENTS == {
+        qr.SentenceForm.BARE_INTRANSITIVE: 2,
+        qr.SentenceForm.QUANT_SUBJECT: 3,
+        qr.SentenceForm.BARE_TRANSITIVE: 2,
+        qr.SentenceForm.QUANT_OBJECT: 3,
+        qr.SentenceForm.DOUBLE_QUANT: 5,
     }
     crossing = qr.MorphismPipeline(qr.SentenceForm.BARE_INTRANSITIVE, (
         (_state("np", "A"), _state("vp", "B")), (_sigma("A", "B"),), (_eps("B", "A"),)))
@@ -595,8 +607,9 @@ def test_factorized_contraction_equals_layered_exhaustive(quantale, monkeypatch)
     sentences of each form over random models at |P| = 8 or 9 (all five
     forms, sigma-count thresholds 0 and 0.3; over the real quantales the
     0.3 cell's lattice [0, 0.25, 1] has a grade the threshold drops) and
-    |P| = 16 or 27 (all but DoubleQuant, which the work guard refuses
-    there)."""
+    |P| = 16 or 27 (all but DoubleQuant, whose layered route there
+    stores the whole tensor of its three states: about 0.9 s and a
+    180 MB process peak per sentence at 27 subsets)."""
     crisp = quantale == "boolean"
     rng = random.Random(f"routes:{quantale}")
     forms = tuple(qr.SentenceForm)
@@ -673,6 +686,12 @@ def test_exhaustive_exactly_over_graded_lattice_raises():
     for text in ("exactly1 men run", "john see exactly1 men"):
         with pytest.raises(qr.EvaluationError):
             qr.eval_categorical(_tree(text, model), model, "exhaustive")
+    # Crisp words: the effect step's scan settles at a crisp pair of
+    # grade 1, but the state reaches graded restrictors, so it raises.
+    data["nouns"]["men"] = data["vps"]["run"] = {"u0": 1.0}
+    model = qr.load_lexicon(data)
+    with pytest.raises(qr.EvaluationError, match="crisp membership"):
+        qr.eval_categorical(_tree("exactly1 men run", model), model, "exhaustive")
 
 
 def test_boolean_collapse_sample():
@@ -895,6 +914,33 @@ def test_exhaustive_work_guard():
     tree = _tree("john see several men", model)
     with pytest.raises(qr.EnumerationLimitError):
         qr.eval_categorical(tree, model, "exhaustive")
+
+
+def _p27_lexicon(quantale):
+    """Three elements and three grades: 27 graded subsets per wire."""
+    return {
+        "universe": ["a", "b", "c"], "quantale": quantale, "grades": [0, 0.5, 1],
+        "nouns": {"cats": {"a": 1.0, "b": 0.5}, "dogs": {"b": 1.0, "c": 0.5}},
+        "verbs": {"see": [["a", "b", 1.0], ["a", "c", 0.5], ["b", "c", 1.0],
+                          ["c", "a", 0.5]]},
+        "quantifiers": {
+            "few": {"kind": "fuzzy",
+                    "breakpoints": [[0, 0], [0.1, 1], [0.3, 1], [0.6, 0], [1, 0]]},
+            "every": {"kind": "every"},
+        },
+    }
+
+
+@pytest.mark.parametrize("quantale", ["godel", "product", "lukasiewicz"])
+def test_exhaustive_work_guard_admits_double_quant_at_27_subsets(quantale):
+    """The guard prices DoubleQuant by the five wires its second merge
+    meets, not by its six-wire boundary, which would refuse 27 subsets;
+    the value it admits equals the brute-force join."""
+    model = qr.load_lexicon(_p27_lexicon(quantale))
+    n = len(model.powerset())
+    assert n == 27 and n ** 5 <= qr.semantics.EXHAUSTIVE_WORK_GUARD < n ** 6
+    value = _exhaustive_vs_brute(model, "every cats see few dogs")
+    assert 0.0 < value < 1.0
 
 
 def test_exhaustive_bare_forms_stop_at_the_cup_entry_guard():

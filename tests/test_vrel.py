@@ -204,6 +204,48 @@ def test_merge_join_equals_its_definition(q):
 
 
 @pytest.mark.parametrize("q", ALL, ids=lambda q: q.name)
+def test_bounded_effect_equals_its_definition(q):
+    """bounded_effect(r, e) is compose(r, e).scalar(), with no tolerance,
+    reading e only inside r's support and each position at most once:
+    an empty state, index-map states (one entry, none), random states,
+    states whose grades all tie, against effects with entries missing,
+    read as bottom, at the unit or random.  Against the unit effect, one
+    read settles the join."""
+    rng = random.Random(31)
+    x, unit = qr.IndexSet(range(12)), qr.IndexSet.unit()
+    top = 1.0 if q is qr.BOOLEAN else 0.75
+    states = [qr.VRel(unit, x, q, entries={}), qr.VRel(unit, x, q, index_map=[7]),
+              qr.VRel(unit, x, q, index_map=[-1]),
+              qr.VRel(unit, x, q, entries={(0, j): top for j in range(0, 12, 2)})]
+    states += [_random_vrel(unit, x, q, rng, density)
+               for density in (0.3, 0.7, 1.0) for _ in range(4)]
+    effects = [qr.VRel(x, unit, q, entries={}),
+               qr.VRel(x, unit, q, entries={(j, 0): 1.0 for j in range(12)}),
+               qr.VRel(x, unit, q, entries={(j, 0): top for j in range(1, 12, 2)})]
+    effects += [_random_vrel(x, unit, q, rng, density)
+                for density in (0.3, 0.7, 1.0) for _ in range(4)]
+    values = set()
+    for r in states:
+        support = {k for _, k in r.entries()}
+        for e in effects:
+            reads = []
+
+            def read(k, grades=e.entries()):
+                reads.append(k)
+                return grades.get((k, 0), q.bottom)
+
+            got = qr.bounded_effect(r, read)
+            assert got == qr.compose(r, e).scalar()
+            assert set(reads) <= support and len(set(reads)) == len(reads)
+            if e is effects[1]:
+                assert len(reads) == min(1, len(support))
+            values.add(got)
+    assert len(values) >= (2 if q is qr.BOOLEAN else 5)
+    with pytest.raises(qr.ShapeMismatchError, match="needs a state"):
+        qr.bounded_effect(qr.identity(x, q), lambda k: 1.0)
+
+
+@pytest.mark.parametrize("q", ALL, ids=lambda q: q.name)
 def test_merge_join_guard_is_the_tensor_guard(q, monkeypatch):
     """merge_join refuses exactly the pairs of states, stored or maps,
     whose tensor `tensor_rel` refuses to store."""
