@@ -13,8 +13,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import (Callable, Collection, Dict, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import (EmptyRestrictorError, EnumerationLimitError,
                      EvaluationError, QuantrelError)
@@ -63,6 +62,8 @@ class FuzzyQuantifier:
         if len(bps) < 2 or bps[0][0] != 0.0 or bps[-1][0] != 1.0:
             raise QuantrelError(
                 f"{self.name!r}: breakpoints must run from proportion 0 to 1")
+        if any(not 0.0 <= p <= 1.0 for p, _ in bps):
+            raise QuantrelError(f"{self.name!r}: proportions must lie in [0, 1]")
         for (p0, _), (p1, _) in zip(bps, bps[1:]):
             if p1 <= p0:
                 raise QuantrelError(
@@ -192,68 +193,27 @@ def require_quantale(d: Determiner, q: Quantale) -> None:
 
 
 def quantifier_vrel(d: Determiner, source: IndexSet, target: IndexSet,
-                    q: Quantale, threshold: float = 0.0,
-                    pairs: Optional[Collection[Tuple[int, int]]] = None) -> VRel:
+                    q: Quantale, threshold: float = 0.0) -> VRel:
     """Encode the determiner as a relation between index sets of grade
     tuples: restrictor subsets in source, scope subsets in target.
 
-    `pairs` lists the (source position, target position) pairs to grade,
-    each once; by default every pair is graded.  An entry outside
-    `pairs` is left bottom, and an entry inside it is the same
-    `graded_entry` value the full table holds.  The pairs are graded a
-    restrictor at a time, by one `graded_row` call per restrictor, so
-    its sigma-count is summed once.  The entry guard counts the pairs
-    graded.
-
-    The exhaustive categorical join builds no such table: its effect
-    step reads the determiner through `pair_grader`, at only the pairs
-    its bounded scan visits (`vrel.bounded_effect`).  Those are pairs
-    the joined state reaches, and the determiner meets the merged scope
-    A∧B with its restrictor A, so each is a conservative pair (A, A∧B),
-    scope below restrictor pointwise, never all of P x P.  The layered
-    reference route of the tests still grades every reached pair here.
+    Every pair holds its `graded_entry` value, graded a restrictor at a
+    time by one `graded_row` call, so its sigma-count is summed once.
+    The entry guard counts the pairs.  The evaluator builds no such
+    table: its effect step grades pairs one at a time (see
+    `semantics._det_effect`).
     """
     require_quantale(d, q)
-    n_pairs = len(source) * len(target) if pairs is None else len(pairs)
+    n_pairs = len(source) * len(target)
     if n_pairs > MAX_ENTRIES:
         raise EnumerationLimitError(
             f"determiner table of {n_pairs} pairs exceeds the entry guard")
-    if pairs is None:
-        rows = dict.fromkeys(range(len(source)), range(len(target)))
-    else:
-        rows = {}
-        for i, j in pairs:
-            rows.setdefault(i, []).append(j)
-    restrictors, scopes = source.elements, target.elements
     entries = {}
-    for i, js in rows.items():
-        grades = graded_row(d, restrictors[i], [scopes[j] for j in js], threshold)
-        for j, g in zip(js, grades):
+    for i, a in enumerate(source.elements):
+        for j, g in enumerate(graded_row(d, a, target.elements, threshold)):
             if g != q.bottom:
                 entries[(i, j)] = g
     return VRel(source, target, q, entries=entries)
-
-
-def pair_grader(d: Determiner, source: IndexSet, target: IndexSet,
-                threshold: float = 0.0) -> Callable[[int], Grade]:
-    """The determiner's grade at position k of source x target, row-major:
-    the entry `quantifier_vrel` holds at (k // |target|, k % |target|),
-    bottom where it stores none.
-
-    Each pair is graded on its first read, by a `graded_row` call with
-    that one scope, and kept, so no pair is graded twice."""
-    restrictors, scopes = source.elements, target.elements
-    n = len(target)
-    grades: Dict[int, Grade] = {}
-
-    def grade(k: int) -> Grade:
-        g = grades.get(k)
-        if g is None:
-            i, j = divmod(k, n)
-            g = grades[k] = graded_row(d, restrictors[i], (scopes[j],), threshold)[0]
-        return g
-
-    return grade
 
 
 def apply_quantifier_argmax(d: Determiner, np_set: FuzzySet) -> FuzzySet:

@@ -63,16 +63,13 @@ the object factor is met.
 
 The determiners are the last layer, and no effect is built for them:
 the bounded effect step (`vrel.bounded_effect`) visits the joined
-state's entries by descending grade, grades the determiners at each
-visited entry's (restrictor, scope) pairs, and stops at the first state
-grade that is not above the best value found.  Its law: every tensor
-is monotone and keeps its unit exactly, so t(g, e) <= t(g, 1) == g,
-and no later entry can beat the best.  A determiner is so graded only
-at pairs the joined state reaches, never over all of P x P: the
-conservative pairs (A, A∧B), as its scope wire merges its restrictor
-with the scope.  State and verb tables are graded a restrictor's row
-at a time, so each sigma-count is summed once.  Each graded entry is
-the one the full table holds, and the value is the same bit for bit as
+state's entries by descending grade, reads the determiners at each
+(`_det_effect`, the one place the evaluator grades a determiner), and
+stops at the first state grade that is not above the best value found.
+Its law: every tensor is monotone and keeps its unit exactly, so
+t(g, e) <= t(g, 1) == g, and no later entry can beat the best.  State
+and verb tables are graded a restrictor's row at a time, so each
+sigma-count is summed once.  The value is the same bit for bit as
 composing the whole state layer by layer with the whole effect (see
 `_pipeline_value`): joining early by max is exact because every float
 tensor is monotone, so it distributes over max, and the effect step
@@ -95,7 +92,7 @@ from .grammar import ParseTree, SentenceForm, classify, parse, tokenize
 from .quantale import Quantale
 from .quantifier import (CrispQuantifier, Determiner, FuzzyQuantifier,
                          apply_distribution, apply_quantifier_argmax, gq_holds,
-                         pair_grader, quantifier_vrel, require_quantale)
+                         graded_entry, quantifier_vrel, require_quantale)
 from .vrel import (IndexSet, VRel, bounded_effect, compose, coname, epsilon,
                    identity, merge_join, name, swap, tensor_rel)
 
@@ -625,16 +622,11 @@ def verb_state(verb: FuzzyRelation, source_set: IndexSet, target_set: IndexSet,
 
 
 def _atom_vrel(atom: Atom, model: Model, wires: Dict[str, IndexSet],
-               den: _Denotations, state: Optional[VRel] = None,
-               stride: int = 1) -> VRel:
+               den: _Denotations) -> VRel:
     """The relation an atom denotes over the index sets of its wires.
 
-    A det atom is graded only at the rows that `state`, the composite
-    of the layers before its own, reaches: its digit of each position in
-    the state's support, where `stride` is the product of the source
-    sizes of the atoms to its right in the layer.  The evaluator's
-    effect step reads determiners through `_det_effect` instead; this
-    whole effect is what the tests' layered route composes."""
+    A det atom is the whole effect of its determiner table; the
+    evaluator reads determiners through `_det_effect` instead."""
     q, t = model.quantale, model.threshold
     ins = [wires[w] for w in atom.wires_in]
     outs = [wires[w] for w in atom.wires_out]
@@ -645,11 +637,7 @@ def _atom_vrel(atom: Atom, model: Model, wires: Dict[str, IndexSet],
     if atom.kind == "verb_state":
         return verb_state(den.verb, outs[0], outs[1], q, t)
     if atom.kind == "det":
-        n = len(ins[1])
-        size = len(ins[0]) * n
-        pairs = {divmod(k // stride % size, n) for _, k in state.entries()}
-        return coname(quantifier_vrel(den.by_label(atom.label), ins[0], ins[1],
-                                      q, t, pairs))
+        return coname(quantifier_vrel(den.by_label(atom.label), ins[0], ins[1], q, t))
     if atom.kind == "delta":
         return delta(ins[0], q)
     if atom.kind == "mu":
@@ -671,32 +659,49 @@ def _det_effect(layer: Tuple[Atom, ...], model: Model, wires: Dict[str, IndexSet
     it meets, the function `vrel.bounded_effect` reads: the entry the
     tensor of their conames holds at row k.
 
-    Each determiner's pair is its digit of k, as in `_atom_vrel`, graded
-    on first read (`quantifier.pair_grader`); two determiners combine
-    left to right by the tensor, as `tensor_rel` combines their effects
-    (the first meets the unit, which leaves it unchanged), and a bottom
-    grade of the first leaves the second unread.  An
-    "exactly" determiner refuses a graded restrictor or scope at every
-    pair the state reaches, as the whole effect would, so it is graded
-    at all of them up front."""
+    This is the one place the evaluator grades a determiner.  Its pair
+    is its digit of k, row-major as `tensor_rel` lays the layer out,
+    graded by `quantifier.graded_entry` on first read and kept, so no
+    pair is graded twice; the entry is the one `quantifier_vrel`'s
+    table holds there.  Two determiners combine left to right by the
+    tensor, as `tensor_rel` combines their effects (the first meets the
+    unit, which leaves it unchanged), and a bottom grade of the first
+    leaves the second unread.  The pairs the state reaches are
+    conservative, (A, A∧B), since the scope wire merges the restrictor
+    with the scope.  An "exactly" determiner refuses a graded
+    restrictor or scope at every pair the state reaches, as the whole
+    effect would, so it is graded at all of them up front."""
     q, t = model.quantale, model.threshold
-    digits, stride = [], 1
-    for atom in reversed(layer):
-        source, target = (wires[w] for w in atom.wires_in)
-        size = len(source) * len(target)
-        d = den.by_label(atom.label)
-        grade = pair_grader(d, source, target, t)
+
+    def grader(d: Determiner, source: IndexSet, target: IndexSet, stride: int):
+        restrictors, scopes, n = source.elements, target.elements, len(target)
+        size = len(source) * n
+        graded: Dict[int, float] = {}
+
+        def grade(k: int) -> float:
+            k = k // stride % size
+            g = graded.get(k)
+            if g is None:
+                i, j = divmod(k, n)
+                g = graded[k] = graded_entry(d, restrictors[i], scopes[j], t)
+            return g
+
         if isinstance(d, CrispQuantifier) and d.kind == "exactly":
             for _, k in state.entries():
-                grade(k // stride % size)
-        digits.insert(0, (stride, size, grade))
-        stride *= size
+                grade(k)
+        return grade
+
+    graders, stride = [], 1
+    for atom in reversed(layer):
+        source, target = (wires[w] for w in atom.wires_in)
+        graders.insert(0, grader(den.by_label(atom.label), source, target, stride))
+        stride *= len(source) * len(target)
     tensor, unit, bottom = q.tensor, q.unit, q.bottom
 
     def effect(k: int) -> float:
         e = unit
-        for stride, size, grade in digits:
-            e = tensor(e, grade(k // stride % size))
+        for grade in graders:
+            e = tensor(e, grade(k))
             if e == bottom:
                 break
         return e
@@ -721,15 +726,10 @@ def _pipeline_value(form: SentenceForm, model: Model,
 
     The determiner layer is the bounded effect step: `bounded_effect`
     gives compose(state, effect).scalar() without building the effect.
-    It visits the state's entries by descending grade g and reads the
-    effect, the tensor of the determiners' conames, at each (`_det_effect`);
-    each determiner is graded at its digit of the entry's row
-    (row-major, as `tensor_rel` lays them out), once per pair.  The scan
-    stops at the first g not above the best value, since
-    t(g, e) <= t(g, 1) == g for every effect grade e.  So a determiner
-    is graded only at (restrictor, scope) pairs the state reaches, and
-    usually at few of them.  Those are conservative pairs (A, A∧B),
-    since the scope wire is the merge of the restrictor with the scope.
+    It visits the state's entries by descending grade g, reads the
+    effect, the tensor of the determiners' conames, at each
+    (`_det_effect`), and stops at the first g not above the best value,
+    since t(g, e) <= t(g, 1) == g for every effect grade e.
 
     The value is the same bit for bit as composing the whole joined
     state layer by layer: copies, identities and swaps are injective
@@ -757,11 +757,8 @@ def _pipeline_value(form: SentenceForm, model: Model,
             return float(bounded_effect(state, effect))
         if kind == "layer":
             state, = factors
-            rels, stride = [], 1
-            for atom in reversed(layer):
-                rels.append(_atom_vrel(atom, model, wires, den, state, stride))
-                stride *= len(rels[-1].source)
-            factors = [compose(state, reduce(tensor_rel, reversed(rels)))]
+            rels = [_atom_vrel(atom, model, wires, den) for atom in layer]
+            factors = [compose(state, reduce(tensor_rel, rels))]
             continue
         out = []
         for k, atoms in groups:

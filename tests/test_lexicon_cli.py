@@ -110,6 +110,17 @@ def test_rejects_malformed_structure(edit):
         qr.load_lexicon(data)
 
 
+def test_rejects_nan_breakpoint(tmp_path):
+    """A breakpoint proportion written as JSON NaN is refused on load."""
+    data = json.loads((LEXICON_DIR / "small.json").read_text())
+    data["quantifiers"]["several"]["breakpoints"] = [[0, 0], [float("nan"), 1], [1, 0]]
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(data))
+    assert "NaN" in path.read_text()
+    with pytest.raises(qr.LexiconFormatError, match=r"proportions must lie in \[0, 1\]"):
+        qr.load_lexicon(path)
+
+
 def test_rejects_explicit_lattice_missing_used_grade():
     data = animal_lexicon()
     data["grades"] = [0, 0.5, 1]

@@ -401,53 +401,21 @@ def test_exhaustive_equals_brute_force_on_tiny_models(case):
     _exhaustive_vs_brute(*case)
 
 
-@pytest.mark.parametrize("q", [qr.GODEL, qr.PRODUCT, qr.LUKASIEWICZ, qr.BOOLEAN],
-                         ids=lambda q: q.name)
-def test_determiner_graded_on_state_support_composes_like_full_table(q):
-    """A state over restrictor x scope pairs meets the determiner effect
-    only at the rows of its support, so the effect graded there alone
-    gives the same composite, bit for bit."""
-    rng = random.Random(11)
-    grades = (0, 1) if q is qr.BOOLEAN else (0, 0.5, 1)
-    p = qr.PowersetObject(qr.IndexSet(["a", "b", "c"]), qr.GradeLattice(grades))
-    n = len(p)
-    pairs_index = p.index.tensor(p.index)
-    dets = [qr.CrispQuantifier(k) for k in ("every", "some", "no")]
-    if q is qr.BOOLEAN:
-        dets.append(qr.CrispQuantifier("exactly", 1))
-    else:
-        dets += [qr.FuzzyQuantifier("several", SEVERAL_BPS),
-                 qr.FuzzyQuantifier("few", ((0, 1), (0.3, 1), (0.6, 0), (1, 0)))]
-    for d in dets:
-        for t in (0.0, 0.5):
-            full = qr.coname(qr.quantifier_vrel(d, p.index, p.index, q, t))
-            for size in (1, 5, 60):
-                rows = rng.sample(range(n * n), size)
-                state = qr.VRel(qr.IndexSet.unit(), pairs_index, q, entries={
-                    (0, k): 1.0 if q is qr.BOOLEAN else rng.choice((0.3, 0.75, 1.0))
-                    for k in rows})
-                part = qr.coname(qr.quantifier_vrel(
-                    d, p.index, p.index, q, t, [divmod(k, n) for k in rows]))
-                assert len(part.entries()) <= size
-                assert qr.compose(state, part).entries() == \
-                    qr.compose(state, full).entries()
-
-
 def test_exhaustive_quant_subject_grades_only_conservative_pairs(monkeypatch):
     """At |P| = 64 the join reaches the determiner only at pairs
     (A, A meet B): each is graded once, with the scope below the
     restrictor, and far fewer than the 4096 pairs of the full table.
-    The determiner table grades a restrictor's row at a time, so the
-    pairs are read off the `graded_row` calls."""
+    The effect step grades one pair per `graded_entry` call, so the
+    pairs are read off those calls."""
     model = qr.load_lexicon(_object_lexicon("godel"))
     calls = []
-    graded_row = qr.quantifier.graded_row
+    graded_entry = qr.semantics.graded_entry
 
-    def counting(d, a, bs, threshold=0.0):
-        calls.extend((a, b) for b in bs)
-        return graded_row(d, a, bs, threshold)
+    def counting(d, a, b, threshold=0.0):
+        calls.append((a, b))
+        return graded_entry(d, a, b, threshold)
 
-    monkeypatch.setattr(qr.quantifier, "graded_row", counting)
+    monkeypatch.setattr(qr.semantics, "graded_entry", counting)
     value = qr.eval_categorical(_tree("several men run", model), model, "exhaustive")
     assert 0.0 < value <= 1.0
     assert all(all(y <= x for x, y in zip(a, b)) for a, b in calls)
@@ -519,11 +487,7 @@ def _layered_value(form, model, wires, den):
     from quantrel.semantics import _PIPELINES, _atom_vrel
     state = None
     for layer in _PIPELINES[form].layers:
-        rels, stride = [], 1
-        for atom in reversed(layer):
-            rels.append(_atom_vrel(atom, model, wires, den, state, stride))
-            stride *= len(rels[-1].source)
-        rel = reduce(qr.tensor_rel, reversed(rels))
+        rel = reduce(qr.tensor_rel, [_atom_vrel(a, model, wires, den) for a in layer])
         state = rel if state is None else qr.compose(state, rel)
     return float(state.scalar())
 
