@@ -63,6 +63,18 @@ class GradeLattice:
         return f"GradeLattice({list(self.grades)})"
 
 
+def check_powerset_size(n: int, lattice: GradeLattice) -> None:
+    """Refuse the powerset object of an n-element universe when its
+    len(lattice) ** n subsets exceed ENUMERATION_GUARD.  A lattice holds
+    at least the grades 0 and 1, so any n past the guard's bit length is
+    refused before the power is taken, and the message never prints it."""
+    k = len(lattice)
+    if n > ENUMERATION_GUARD.bit_length() or k ** n > ENUMERATION_GUARD:
+        raise EnumerationLimitError(
+            f"powerset object of {k}^{n} subsets exceeds the guard of "
+            f"{ENUMERATION_GUARD}")
+
+
 class PowersetObject:
     """All graded subsets of a universe, enumerated deterministically.
 
@@ -74,11 +86,7 @@ class PowersetObject:
     __slots__ = ("universe", "lattice", "index")
 
     def __init__(self, universe: IndexSet, lattice: GradeLattice):
-        size = len(lattice) ** len(universe)
-        if size > ENUMERATION_GUARD:
-            raise EnumerationLimitError(
-                f"powerset object of {size} subsets exceeds the guard of "
-                f"{ENUMERATION_GUARD}")
+        check_powerset_size(len(universe), lattice)
         self.universe = universe
         self.lattice = lattice
         enumeration = tuple(itertools.product(lattice.grades,

@@ -2,7 +2,7 @@
 
     quantrel eval LEXICON "sentence" [--method ...] [--mode ...]
     quantrel eval LEXICON --sentences-file FILE
-    quantrel laws [--quantale ...] [--universe-size N] [--grades ...]
+    quantrel laws [--quantale ...] [--universe-size N] [--grades ...] [--seed N]
     quantrel oracle LEXICON [--trials N] [--seed N]
 
 Every report line is a stable "key: value" pair; grades print with nine
@@ -19,7 +19,7 @@ import sys
 from typing import List, Optional
 
 from .bialgebra import (GradeLattice, PowersetObject, check_bialgebra,
-                        check_comonoid, check_monoid)
+                        check_comonoid, check_monoid, check_powerset_size)
 from .errors import (EnumerationLimitError, EvaluationError,
                      LexiconFormatError, QuantrelError)
 from .lexicon import dump_lexicon, load_lexicon
@@ -65,8 +65,12 @@ def cmd_eval(args) -> int:
         _print_report(degree_of_truth(args.sentence, model, method=args.method,
                                       mode=args.mode))
         return 0
-    with open(args.sentences_file, "r", encoding="utf-8") as handle:
-        sentences = [line.strip() for line in handle if line.strip()]
+    try:
+        with open(args.sentences_file, "r", encoding="utf-8") as handle:
+            sentences = [line.strip() for line in handle if line.strip()]
+    except UnicodeDecodeError as exc:
+        print(f"error: {args.sentences_file}: not UTF-8 text: {exc}", file=sys.stderr)
+        return 2
     failed = 0
     for i, sentence in enumerate(sentences):
         if i:
@@ -89,6 +93,7 @@ def _law_lines(name: str, report) -> List[str]:
 
 def cmd_laws(args) -> int:
     quantale = by_name(args.quantale)
+    check_powerset_size(args.universe_size, args.grades)
     universe = IndexSet([f"u{i + 1}" for i in range(args.universe_size)])
     obj = PowersetObject(universe, args.grades)
     # Run every law before printing, so a size guard leaves no partial report.

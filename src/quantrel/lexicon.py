@@ -47,7 +47,7 @@ def load_lexicon(source: Union[str, Path, dict]) -> Model:
         with open(source, "r", encoding="utf-8") as handle:
             try:
                 data = json.load(handle)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise LexiconFormatError(f"{source}: not valid JSON: {exc}") from exc
     else:
         data = source
@@ -67,11 +67,24 @@ def _number(value, what: str) -> float:
     return float(value)
 
 
+def _object(value, what: str) -> dict:
+    """A JSON object; anything else, a list or a number included, is a
+    LexiconFormatError."""
+    if not isinstance(value, dict):
+        raise LexiconFormatError(f"{what} must be a JSON object, got {value!r:.60}")
+    return value
+
+
+def _group(data: dict, group: str) -> dict:
+    """The lexicon's group of words, {} when it is omitted."""
+    return _object(data.get(group, {}), f"{group!r}")
+
+
 def _grades_in(data: dict):
     for group in _SET_GROUPS:
-        for mapping in data.get(group, {}).values():
-            yield from mapping.values()
-    for name, triples in data.get("verbs", {}).items():
+        for name, mapping in _group(data, group).items():
+            yield from _object(mapping, f"{group} entry {name!r}").values()
+    for name, triples in _group(data, "verbs").items():
         for triple in triples:
             if len(triple) != 3:
                 raise LexiconFormatError(
@@ -80,6 +93,7 @@ def _grades_in(data: dict):
 
 
 def _build_model(data: dict) -> Model:
+    _object(data, "a lexicon")
     if "universe" not in data or not data["universe"]:
         raise LexiconFormatError("lexicon needs a non-empty 'universe' list")
     labels = [str(u) for u in data["universe"]]
@@ -104,15 +118,15 @@ def _build_model(data: dict) -> Model:
                   threshold=threshold)
     for group in _SET_GROUPS:
         target = getattr(model, group)
-        for name, mapping in data.get(group, {}).items():
+        for name, mapping in _group(data, group).items():
             target[str(name).lower()] = FuzzySet.from_dict(
                 universe, {str(k): float(v) for k, v in mapping.items()})
-    for name, triples in data.get("verbs", {}).items():
+    for name, triples in _group(data, "verbs").items():
         pairs: Dict[tuple, float] = {}
         for s, o, g in triples:  # each of length 3, as _grades_in checked
             pairs[(str(s), str(o))] = float(g)
         model.verbs[str(name).lower()] = FuzzyRelation(universe, pairs)
-    for name, desc in data.get("quantifiers", {}).items():
+    for name, desc in _group(data, "quantifiers").items():
         model.quantifiers[str(name).lower()] = _parse_quantifier(str(name).lower(), desc)
 
     model.validate()
@@ -120,9 +134,7 @@ def _build_model(data: dict) -> Model:
 
 
 def _parse_quantifier(name: str, desc: dict):
-    if not isinstance(desc, dict):
-        raise LexiconFormatError(f"quantifier {name!r}: {desc!r} is not an object")
-    kind = desc.get("kind")
+    kind = _object(desc, f"quantifier {name!r}").get("kind")
     if kind == "fuzzy":
         bps = desc.get("breakpoints")
         if not bps:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 from .errors import (EmptyRestrictorError, EnumerationLimitError,
                      EvaluationError, QuantrelError)
@@ -141,47 +141,29 @@ def apply_distribution(d: Determiner, p: float) -> Grade:
     return v0 + (p - p0) * (v1 - v0) / (p1 - p0)
 
 
-def graded_row(d: Determiner, a: Sequence[float], bs: Sequence[Sequence[float]],
-               threshold: float = 0.0) -> List[Grade]:
-    """Grade the restrictor a against each scope in bs, as `graded_entry`
-    grades one pair.
-
-    A graded determiner sums sigma(a) once for the row
-    (`proportion_row`).  "exactly" refuses the row if a or any scope is
-    graded.
-    """
-    if isinstance(d, FuzzyQuantifier):
-        ps = proportion_row(bs, a, threshold)
-        if ps is None:
-            return [0.0] * len(bs)
-        return [apply_distribution(d, p) for p in ps]
-    if d.kind == "every":
-        return [1.0 if all(x <= y for x, y in zip(a, b) if x >= threshold) else 0.0
-                for b in bs]
-    if d.kind == "some":
-        return [1.0 if any(m > 0.0 and m >= threshold for m in map(min, a, b)) else 0.0
-                for b in bs]
-    if d.kind == "no":
-        return [1.0 if all(min(x, y) == 0.0 for x, y in zip(a, b)) else 0.0 for b in bs]
-    if not all(g in (0.0, 1.0) for g in itertools.chain(a, *bs)):
-        raise EvaluationError("'exactly' requires crisp membership tuples")
-    return [1.0 if sum(1 for x, y in zip(a, b) if x == y == 1.0) == d.n else 0.0
-            for b in bs]
-
-
 def graded_entry(d: Determiner, a: Sequence[float], b: Sequence[float],
                  threshold: float = 0.0) -> Grade:
-    """Grade the pair of membership tuples (restrictor a, scope b): the
-    one-scope case of `graded_row`.
+    """Grade the pair of membership tuples (restrictor a, scope b).
 
-    Graded determiners score the proportion of b inside a, with bottom
-    when a has sigma-count zero.  Crisp determiners use their set
-    conditions, read pointwise: "every" needs a below b, "some" a
-    positive minimum, both ignoring grades below the threshold as a
-    sigma-count does, "no" an empty pointwise minimum, and "exactly"
-    counts common members of crisp tuples.
+    Graded determiners score the proportion of b inside a
+    (`proportion_row`), with bottom when a has sigma-count zero.  Crisp
+    determiners use their set conditions, read pointwise: "every" needs
+    a below b, "some" a positive minimum, both ignoring grades below the
+    threshold as a sigma-count does, "no" an empty pointwise minimum, and
+    "exactly" counts common members and refuses a graded a or b.
     """
-    return graded_row(d, a, (b,), threshold)[0]
+    if isinstance(d, FuzzyQuantifier):
+        ps = proportion_row((b,), a, threshold)
+        return 0.0 if ps is None else apply_distribution(d, ps[0])
+    if d.kind == "every":
+        return 1.0 if all(x <= y for x, y in zip(a, b) if x >= threshold) else 0.0
+    if d.kind == "some":
+        return 1.0 if any(m > 0.0 and m >= threshold for m in map(min, a, b)) else 0.0
+    if d.kind == "no":
+        return 1.0 if all(min(x, y) == 0.0 for x, y in zip(a, b)) else 0.0
+    if not all(g in (0.0, 1.0) for g in itertools.chain(a, b)):
+        raise EvaluationError("'exactly' requires crisp membership tuples")
+    return 1.0 if sum(1 for x, y in zip(a, b) if x == y == 1.0) == d.n else 0.0
 
 
 def require_quantale(d: Determiner, q: Quantale) -> None:
@@ -197,11 +179,9 @@ def quantifier_vrel(d: Determiner, source: IndexSet, target: IndexSet,
     """Encode the determiner as a relation between index sets of grade
     tuples: restrictor subsets in source, scope subsets in target.
 
-    Every pair holds its `graded_entry` value, graded a restrictor at a
-    time by one `graded_row` call, so its sigma-count is summed once.
-    The entry guard counts the pairs.  The evaluator builds no such
-    table: its effect step grades pairs one at a time (see
-    `semantics._det_effect`).
+    Every pair holds its `graded_entry` value.  The entry guard counts
+    the pairs.  The evaluator builds no such table: its effect step
+    grades the pairs it reads one at a time (see `semantics._det_effect`).
     """
     require_quantale(d, q)
     n_pairs = len(source) * len(target)
@@ -210,7 +190,8 @@ def quantifier_vrel(d: Determiner, source: IndexSet, target: IndexSet,
             f"determiner table of {n_pairs} pairs exceeds the entry guard")
     entries = {}
     for i, a in enumerate(source.elements):
-        for j, g in enumerate(graded_row(d, a, target.elements, threshold)):
+        for j, b in enumerate(target.elements):
+            g = graded_entry(d, a, b, threshold)
             if g != q.bottom:
                 entries[(i, j)] = g
     return VRel(source, target, q, entries=entries)

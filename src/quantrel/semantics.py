@@ -51,29 +51,12 @@ naturality of swap (see `compile_pipeline`).  Outside the doubly
 quantified form no layer holds more than three subset wires, and values
 are the same bit for bit.
 
-The composed state is a list of factors, one per group of wires that
-no atom has joined yet, contracted by a plan built per form at import
-(`_contraction_plan`): a copy, identity or swap re-keys only the factor
-it acts on; a layer of merges and cups, each reading the last wire of
-one factor and the first of the next, joins the factors pairwise, left
-to right, by `vrel.merge_join`, which never stores their tensor; and a
-verb or determiner layer then always meets a single factor.  So
-DoubleQuant's first merge collapses the subject and verb factors before
-the object factor is met.
-
-The determiners are the last layer, and no effect is built for them:
-the bounded effect step (`vrel.bounded_effect`) visits the joined
-state's entries by descending grade, reads the determiners at each
-(`_det_effect`, the one place the evaluator grades a determiner), and
-stops at the first state grade that is not above the best value found.
-Its law: every tensor is monotone and keeps its unit exactly, so
-t(g, e) <= t(g, 1) == g, and no later entry can beat the best.  State
-and verb tables are graded a restrictor's row at a time, so each
-sigma-count is summed once.  The value is the same bit for bit as
-composing the whole state layer by layer with the whole effect (see
-`_pipeline_value`): joining early by max is exact because every float
-tensor is monotone, so it distributes over max, and the effect step
-skips only candidates no better than the best.
+The evaluator never composes the pipeline whole.  It contracts a
+list of factors by a plan built per form at import: `_contraction_plan`
+says which step each layer is and what the exhaustive work guard
+prices, and `_pipeline_value` how each step is computed and why the
+value is the same bit for bit as composing the whole state layer by
+layer with the whole effect.
 """
 
 from __future__ import annotations
@@ -93,8 +76,8 @@ from .quantale import Quantale
 from .quantifier import (CrispQuantifier, Determiner, FuzzyQuantifier,
                          apply_distribution, apply_quantifier_argmax, gq_holds,
                          graded_entry, quantifier_vrel, require_quantale)
-from .vrel import (IndexSet, VRel, bounded_effect, compose, coname, epsilon,
-                   identity, merge_join, name, swap, tensor_rel)
+from .vrel import (MAX_ENTRIES, IndexSet, VRel, bounded_effect, compose, coname,
+                   epsilon, identity, merge_join, name, swap, tensor_rel)
 
 
 @dataclass
@@ -414,19 +397,8 @@ def compile_pipeline(form: SentenceForm) -> MorphismPipeline:
     (D, C1) first, then swaps the merged G' past the restrictor C2 once.
     The widest boundaries stay 3 and 6 wires.
 
-    The evaluator keeps each state, and its copy, a factor of its own
-    until a merge or cup reads it together with its neighbour
-    (`_contraction_plan`): the cups of BareIntransitive and
-    BareTransitive and the merges of QuantSubject, QuantObject and
-    DoubleQuant join two factors at a time, left to right, the verbs meet
-    the one factor left, and the determiners read it to the scalar from
-    its highest grade down, stopping once no grade left can beat the
-    best value (t(g, e) <= g).  Graded factors meet in the
-    diagram's order (np, v, np', d, d'): the product and Lukasiewicz
-    float tensors are not associative, so that order keeps values bit
-    for bit.  QuantObject joins np' left of the verb's image, which the
-    diagram meets first, and the tensor is exactly commutative on all
-    four quantales.
+    The evaluator contracts a layout factor by factor, not layer by
+    layer (`_contraction_plan`).
     """
     if form == SentenceForm.BARE_INTRANSITIVE:
         layers = (
@@ -474,10 +446,6 @@ def compile_pipeline(form: SentenceForm) -> MorphismPipeline:
 _PIPELINES = {form: compile_pipeline(form) for form in SentenceForm}
 
 
-# Atoms a layer may apply one factor at a time: a state starts a factor,
-# and copies, identities and swaps are injective maps, which only move
-# the grades of the factor they act on.
-_FACTORWISE = frozenset({"state", "verb_state", "delta", "id", "sigma"})
 # Binary maps a layer may apply between two neighbouring factors.
 _MERGES = frozenset({"mu", "eps"})
 
@@ -487,72 +455,71 @@ def _contraction_plan(pipeline: MorphismPipeline) -> Tuple[tuple, int]:
     layer: (kind, layer, groups), and the plan's work exponent.
 
     The composed state is a list of factors, one per group of wires that
-    no atom has joined yet, in wire order.  A layer is
-    - "factorwise" when all its atoms are in `_FACTORWISE` and the
-      consecutive atoms that read one factor consume exactly its wires.
-      Its groups list, per factor after the layer, (None, (state,)) for
-      a new state, (k, ()) for factor k touched only by identities, and
-      (k, atoms) for factor k composed with the tensor of its atoms.
+    no atom has joined yet, in wire order; each factor is a relation
+    from the unit.  A layer is
+    - "effect" when its atoms are all determiners and meet a single
+      factor, which they read to the scalar (`vrel.bounded_effect`);
     - "merge" when its atoms other than identities are merges or cups,
       the i-th reading the last wire of factor i and the first wire of
-      factor i + 1: it joins the factors left to right into one.
-    - "effect" when its atoms are all determiners, which meet a single
-      factor and read it to the scalar (`vrel.bounded_effect`).
-    - "layer" when it meets a single factor, which is composed with the
-      whole layer (a verb).
+      factor i + 1: it joins the factors left to right into one;
+    - "factorwise" otherwise, when the consecutive atoms that read one
+      factor consume exactly its wires.  Its groups list, per factor
+      after the layer, (None, (state,)) for a new state and (k, atoms)
+      for factor k composed with the tensor of its atoms: a copy,
+      identity or swap re-keys only the factor it acts on, and a verb is
+      composed with the one factor it reads.
     Any other layer is a construction bug, as is a plan that does not
     end in one factor without wires: both raise ShapeMismatchError.
 
-    A step's work is at most |P| to the number of wires it meets: those
-    of each state it starts or factor it maps, of the two factors each
-    merge joins, or of the factor a layer meets together with the
-    layer's outputs.  The work exponent is the largest of these: 2 for
-    the bare forms, 3 for QuantSubject and QuantObject, 5 for
-    DoubleQuant (its second merge joins three wires to two).
+    So DoubleQuant's first merge joins the subject and verb factors
+    before the object factor is met, and the verb of the bare and
+    quantified-object forms meets the subject's factor alone.
+
+    An atom meets its input and output wires, and a merge or cup the
+    wires of the two factors it joins.  A step's work is at most |P| to
+    the most wires one of them meets, or the size of a factor it re-keys
+    or scans, which the step that made the factor already took.  The
+    work exponent is the most wires met: 2 for the bare forms, 3 for
+    QuantSubject and QuantObject, 5 for DoubleQuant (its second merge
+    joins three wires to two).
     """
     factors: List[Tuple[str, ...]] = []
     plan = []
     exponent = 0
     for layer in pipeline.layers:
-        owner = {w: k for k, wires in enumerate(factors) for w in wires}
-        groups: List[Tuple[Optional[int], List[Atom]]] = []
-        for atom in layer:
-            k = owner[atom.wires_in[0]] if atom.wires_in else None
-            if k is not None and groups and groups[-1][0] == k:
-                groups[-1][1].append(atom)
-            else:
-                groups.append((k, [atom]))
-        consumed = [tuple(w for atom in atoms for w in atom.wires_in)
-                    for k, atoms in groups if k is not None]
-        merges = [atom.wires_in for atom in layer if atom.kind != "id"]
-        if consumed == factors and all(atom.kind in _FACTORWISE for atom in layer):
-            plan.append(("factorwise", layer, tuple(
-                (k, () if all(atom.kind == "id" for atom in atoms) else tuple(atoms))
-                for k, atoms in groups)))
-            exponent = max([exponent] + [len(atoms[0].wires_out) if k is None
-                                         else len(factors[k]) for k, atoms in groups])
+        kinds = {atom.kind for atom in layer} - {"id"}
+        merges = [atom for atom in layer if atom.kind != "id"]
+        meets = [len(atom.wires_in) + len(atom.wires_out) for atom in layer]
+        if kinds == {"det"} and len(factors) == 1:
+            plan.append(("effect", layer, None))
+            factors = [()]
+        elif kinds <= _MERGES and [atom.wires_in for atom in merges] == [
+                (f[-1], g[0]) for f, g in zip(factors, factors[1:])]:
+            plan.append(("merge", layer, None))
+            meets, width = [], len(factors[0])
+            for f, atom in zip(factors[1:], merges):
+                meets.append(width + len(f))
+                width += len(f) - 2 + len(atom.wires_out)
+            factors = [tuple(w for atom in layer for w in atom.wires_out)]
+        else:
+            owner = {w: k for k, wires in enumerate(factors) for w in wires}
+            groups: List[Tuple[Optional[int], List[Atom]]] = []
+            for atom in layer:
+                k = owner[atom.wires_in[0]] if atom.wires_in else None
+                if k is not None and groups and groups[-1][0] == k:
+                    groups[-1][1].append(atom)
+                else:
+                    groups.append((k, [atom]))
+            if [tuple(w for atom in atoms for w in atom.wires_in)
+                    for k, atoms in groups if k is not None] != factors:
+                raise ShapeMismatchError(
+                    f"a layer of {pipeline.form} meets factors {factors} "
+                    f"that it neither maps one by one nor merges")
+            plan.append(("factorwise", layer,
+                         tuple((k, tuple(atoms)) for k, atoms in groups)))
             factors = [tuple(w for atom in atoms for w in atom.wires_out)
                        for _, atoms in groups]
-            continue
-        if (all(atom.kind in _MERGES | {"id"} for atom in layer)
-                and merges == [(f[-1], g[0]) for f, g in zip(factors, factors[1:])]):
-            plan.append(("merge", layer, None))
-            width = len(factors[0])
-            for f, atom in zip(factors[1:], (a for a in layer if a.kind != "id")):
-                exponent = max(exponent, width + len(f))
-                width += len(f) - 2 + len(atom.wires_out)
-        elif len(factors) == 1 and all(atom.kind == "det" for atom in layer):
-            plan.append(("effect", layer, None))
-            exponent = max(exponent, len(factors[0]))
-        elif len(factors) == 1:
-            plan.append(("layer", layer, None))
-            exponent = max(exponent, len(factors[0])
-                           + sum(len(atom.wires_out) for atom in layer))
-        else:
-            raise ShapeMismatchError(
-                f"a layer of {pipeline.form} meets factors {factors} "
-                f"that it neither maps one by one nor merges")
-        factors = [tuple(w for atom in layer for w in atom.wires_out)]
+        exponent = max([exponent] + meets)
     if factors != [()]:
         raise ShapeMismatchError(
             f"contraction plan of {pipeline.form} leaves factors {factors}")
@@ -602,7 +569,13 @@ def verb_relation(verb: FuzzyRelation, source_set: IndexSet, target_set: IndexSe
     quantales) or the unit exactly when B is the image of A (Boolean).
     Each image goes through `image_grades` on the verb's rows, so it
     reads only the rows of the elements A holds with a positive grade.
+    The entry guard counts the pairs and refuses before any image is
+    taken.
     """
+    n_pairs = len(source_set) * len(target_set)
+    if n_pairs > MAX_ENTRIES:
+        raise EnumerationLimitError(
+            f"verb relation of {n_pairs} pairs exceeds the entry guard")
     entries = {}
     for i, a in enumerate(source_set.elements):
         image = image_grades(verb.rows, a)
@@ -714,15 +687,11 @@ def _pipeline_value(form: SentenceForm, model: Model,
     """The scalar of the form's pipeline, contracted by its plan
     (`_contraction_plan`).
 
-    The composed state is a list of factors, relations from the unit.
-    A layer of states, copies, identities and swaps acts factor by
-    factor: a state starts a factor, a factor touched only by identities
-    passes through untouched, and any other factor is composed with the
-    tensor of its own atoms, so a copy re-keys only the factor it copies.
-    A layer of merges and cups joins the factors left to right, each
-    merge or cup by `merge_join` of the state so far, the next factor
-    and its own map, so no tensor of two states is stored.  A verb layer
-    meets the single factor left and is composed with it whole.
+    A factorwise step starts a factor at each state and composes every
+    other factor with the tensor of the atoms that read it.  A merge
+    step joins the factors left to right, each merge or cup by
+    `merge_join` of the state so far, the next factor and its own map,
+    so no tensor of two states is stored.
 
     The determiner layer is the bounded effect step: `bounded_effect`
     gives compose(state, effect).scalar() without building the effect.
@@ -734,13 +703,14 @@ def _pipeline_value(form: SentenceForm, model: Model,
     The value is the same bit for bit as composing the whole joined
     state layer by layer: copies, identities and swaps are injective
     maps, which only move grades; graded factors still meet in the
-    diagram's order; the tensor is exactly commutative on all four
-    quantales (QuantObject's np' factor is joined left of the B factor
-    that the diagram composes first); and each float tensor is monotone,
-    so t(max(x, y), z) == max(t(x, z), t(y, z)) exactly, which lets
-    DoubleQuant's first merge join the (np, v) grades by max before they
-    meet np'.  The effect step drops only entries whose every candidate
-    is at most the best value, and max is exact.
+    diagram's order (np, v, np', d, d'), as the product and Lukasiewicz
+    float tensors are not associative; the tensor is exactly commutative
+    on all four quantales (QuantObject's np' factor is joined left of
+    the B factor that the diagram composes first); and each float tensor
+    is monotone, so t(max(x, y), z) == max(t(x, z), t(y, z)) exactly,
+    which lets DoubleQuant's first merge join the (np, v) grades by max
+    before they meet np'.  The effect step drops only entries whose
+    every candidate is at most the best value, and max is exact.
     """
     factors: List[VRel] = []
     for kind, layer, groups in _PLANS[form]:
@@ -755,20 +725,10 @@ def _pipeline_value(form: SentenceForm, model: Model,
             state, = factors
             effect = _det_effect(layer, model, wires, den, state)
             return float(bounded_effect(state, effect))
-        if kind == "layer":
-            state, = factors
-            rels = [_atom_vrel(atom, model, wires, den) for atom in layer]
-            factors = [compose(state, reduce(tensor_rel, rels))]
-            continue
         out = []
         for k, atoms in groups:
-            rels = [_atom_vrel(atom, model, wires, den) for atom in atoms]
-            if k is None:
-                out.append(rels[0])
-            elif rels:
-                out.append(compose(factors[k], reduce(tensor_rel, rels)))
-            else:
-                out.append(factors[k])
+            rel = reduce(tensor_rel, [_atom_vrel(atom, model, wires, den) for atom in atoms])
+            out.append(rel if k is None else compose(factors[k], rel))
         factors = out
     return float(factors[0].scalar())
 
@@ -822,24 +782,12 @@ def eval_categorical(tree: Union[ParseTree, _Denotations], model: Model,
 
     if mode == "exhaustive":
         p = model.powerset()
-        # Each step of the contraction plan enumerates at most one
-        # subset per wire it meets, so the plan's work exponent bounds
-        # its cost (`_contraction_plan`): 2 for the bare forms, 3 for
-        # QuantSubject and QuantObject, 5 for DoubleQuant, whose second
-        # merge (`vrel.merge_join`) meets the three wires of the joined
-        # subject and verb and the two of the object's copy.  A copy or
-        # identity re-keys only its own factor, a merge or cup stores
-        # only the merged state, never the tensor of its two factors,
-        # refusing the pairs of factors whose tensor `tensor_rel` would
-        # refuse, and the bounded effect step (`vrel.bounded_effect`)
-        # reads the determiners at no more entries than the state it
-        # meets holds.  The guard admits |P| up to 4472, 271 and 28
-        # subsets.
-        # The bare forms stop earlier, at 1414 subsets: their cup is an
-        # index map of |P|^2 positions, which `vrel.coname` refuses past
-        # MAX_ENTRIES before building it (over the real quantales the
-        # cup's `merge_join` reaches the tensor entry guard near 1600
-        # subsets anyway).
+        # The guard prices each form by its contraction plan's work
+        # exponent (`_contraction_plan`), so it admits |P| up to 4472,
+        # 271 and 28 subsets for exponents 2, 3 and 5.  The bare forms
+        # stop earlier, at 1414 subsets: their cup, and BareTransitive's
+        # verb before it, relate |P|^2 pairs, which `vrel.coname` and
+        # `verb_relation` refuse past MAX_ENTRIES before building them.
         work = len(p) ** _WORK_EXPONENTS[form]
         if work > EXHAUSTIVE_WORK_GUARD:
             raise EnumerationLimitError(

@@ -98,11 +98,16 @@ def test_rejects_numbers_given_as_strings_or_bools(edit):
 @pytest.mark.parametrize("edit", [
     lambda d: d["verbs"]["see"].__setitem__(1, ["b", "a"]),
     lambda d: d["quantifiers"].update(several="fuzzy"),
-], ids=["two-element-verb-entry", "quantifier-as-string"])
+    lambda d: d["nouns"].update(men=5),
+    lambda d: d.update(quantifiers=[]),
+    lambda d: d.update(nps=[]),
+    lambda d: d.update(verbs=[]),
+], ids=["two-element-verb-entry", "quantifier-as-string", "noun-as-number",
+        "quantifiers-as-list", "nps-as-list", "verbs-as-list"])
 def test_rejects_malformed_structure(edit):
-    """small.json loads as shipped; a verb entry without its grade or a
-    quantifier that is not an object is a LexiconFormatError, never a
-    raw IndexError or AttributeError."""
+    """small.json loads as shipped; a verb entry without its grade, or a
+    group or entry that is not a JSON object, is a LexiconFormatError,
+    never a raw IndexError or AttributeError."""
     data = json.loads((LEXICON_DIR / "small.json").read_text())
     qr.load_lexicon(data)
     edit(data)
@@ -201,6 +206,28 @@ def test_cli_eval_missing_file():
     assert proc.returncode == 2
 
 
+def test_non_utf8_lexicon_is_a_format_error(tmp_path):
+    """A lexicon file that is not UTF-8 text is refused on load, and the
+    CLI exits 2 with one error line."""
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"universe": ["caf\xe9"]}')
+    with pytest.raises(qr.LexiconFormatError, match="not valid JSON"):
+        qr.load_lexicon(path)
+    proc = run_cli("eval", str(path), "several cats sleep")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+def test_cli_rejects_malformed_lexicon_groups(tmp_path):
+    """A lexicon group that is not a JSON object exits 2 with one error
+    line, not a traceback."""
+    path = tmp_path / "cats.json"
+    path.write_text(json.dumps({"universe": ["a"], "nouns": {"cats": 5}}))
+    proc = run_cli("eval", str(path), "several cats sleep")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: nouns entry 'cats' must be a JSON object, got 5\n"
+
+
 def test_cli_eval_parse_failure(demo_path):
     proc = run_cli("eval", demo_path, "sleep")
     assert proc.returncode == 1
@@ -226,6 +253,14 @@ def test_cli_eval_sentences_file(demo_path, tmp_path):
     both = run_cli("eval", demo_path, "several cats sleep",
                    "--sentences-file", str(sentences))
     assert both.returncode == 2
+
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes(b"several cats sl\xe9ep\n")
+    proc = run_cli("eval", demo_path, "--sentences-file", str(latin1))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: {latin1}: not UTF-8 text")
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_laws_pass_and_guard():
@@ -294,6 +329,16 @@ def test_cli_laws_guard_fires_before_any_output():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "error:" in proc.stderr
+
+
+def test_cli_laws_refuses_a_huge_universe_before_building_it():
+    """A universe whose subset count has more digits than Python will
+    print is refused by the powerset guard with a short message."""
+    proc = run_cli("laws", "--universe-size", "20000")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: powerset object of 2^20000 subsets exceeds "
+                           "the guard of 20000\n")
 
 
 @pytest.mark.parametrize("args", [

@@ -207,30 +207,29 @@ def test_graded_entry_exactly_requires_crisp():
 
 
 FEW = qr.FuzzyQuantifier("few", ((0, 0), (0.1, 1), (0.3, 1), (0.6, 0), (1, 0)))
-ROW_DETS = (SEVERAL, MOST, FEW, qr.CrispQuantifier("every"), qr.CrispQuantifier("some"),
-            qr.CrispQuantifier("no"), qr.CrispQuantifier("exactly", 1))
+PAIR_DETS = (SEVERAL, MOST, FEW, qr.CrispQuantifier("every"), qr.CrispQuantifier("some"),
+             qr.CrispQuantifier("no"), qr.CrispQuantifier("exactly", 1))
 
 
 @st.composite
-def _determiner_row(draw):
+def _determiner_pairs(draw):
     """A determiner, a restrictor and 1..8 scopes of n = 1..6 grades, crisp
     or graded, and a sigma-count threshold."""
     n = draw(st.integers(min_value=1, max_value=6))
     grade = st.sampled_from((0.0, 1.0)) | st.sampled_from((0.25, 0.5)) | st.floats(
         min_value=0, max_value=1, allow_nan=False)
     tuples = st.lists(grade, min_size=n, max_size=n).map(tuple)
-    return (draw(st.sampled_from(ROW_DETS)), draw(tuples),
+    return (draw(st.sampled_from(PAIR_DETS)), draw(tuples),
             draw(st.lists(tuples, min_size=1, max_size=8)),
             draw(st.sampled_from((0.0, 0.3, 1.0))))
 
 
-@given(_determiner_row())
-def test_graded_row_equals_graded_entry(case):
-    """The row form grades each scope as `graded_entry` grades its pair,
-    and as the tests' oracle (`brute.entry`) grades that pair on its
-    own, repr for repr; "exactly" refuses a row exactly when a pair of
-    it holds a graded tuple."""
-    from quantrel.quantifier import graded_row
+@given(_determiner_pairs())
+def test_graded_entry_equals_brute_entry(case):
+    """`graded_entry` grades every pair as the tests' oracle
+    (`brute.entry`) does, repr for repr; "exactly" refuses a pair
+    exactly when it holds a graded tuple, and the oracle refuses it
+    too."""
     d, a, bs, t = case
 
     def outcome(grade):
@@ -239,9 +238,9 @@ def test_graded_row_equals_graded_entry(case):
         except qr.EvaluationError:
             return "EvaluationError"
 
-    row = outcome(lambda: graded_row(d, a, bs, t))
-    assert row == outcome(lambda: [qr.graded_entry(d, a, b, t) for b in bs])
-    assert row == outcome(lambda: [brute.entry(d, a, b, t) for b in bs])
-    graded = any(g not in (0.0, 1.0) for g in a + sum(bs, ()))
     exactly = isinstance(d, qr.CrispQuantifier) and d.kind == "exactly"
-    assert (row == "EvaluationError") == (exactly and graded)
+    for b in bs:
+        got = outcome(lambda: qr.graded_entry(d, a, b, t))
+        assert got == outcome(lambda: brute.entry(d, a, b, t))
+        graded = any(g not in (0.0, 1.0) for g in a + b)
+        assert (got == "EvaluationError") == (exactly and graded)

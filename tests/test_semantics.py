@@ -429,19 +429,19 @@ def test_exhaustive_quant_subject_grades_only_conservative_pairs(monkeypatch):
 
 
 def test_contraction_plans_join_only_where_atoms_meet():
-    """Each form joins two factors only at its merges and cups (m), meets
-    a single factor at its verbs (l), reads it to the scalar at its
-    determiners (e) and maps factor by factor everywhere else (f); a
-    swap across two factors is refused.  A plan's work exponent is the
-    most wires one step meets."""
+    """Each form joins two factors only at its merges and cups (m), reads
+    the single factor left to the scalar at its determiners (e) and maps
+    factor by factor everywhere else (f), its verb included; a swap
+    across two factors is refused.  A plan's work exponent is the most
+    wires one atom, or one merge's two factors, meet."""
     from quantrel.semantics import (_PLANS, _WORK_EXPONENTS, _contraction_plan, _eps,
                                     _sigma, _state)
     steps = {form: "".join(kind[0] for kind, _, _ in plan) for form, plan in _PLANS.items()}
     assert steps == {
         qr.SentenceForm.BARE_INTRANSITIVE: "fm",
         qr.SentenceForm.QUANT_SUBJECT: "ffme",
-        qr.SentenceForm.BARE_TRANSITIVE: "flfm",
-        qr.SentenceForm.QUANT_OBJECT: "flffme",
+        qr.SentenceForm.BARE_TRANSITIVE: "fffm",
+        qr.SentenceForm.QUANT_OBJECT: "ffffme",
         qr.SentenceForm.DOUBLE_QUANT: "ffmfe",
     }
     assert _WORK_EXPONENTS == {
@@ -922,6 +922,26 @@ def test_exhaustive_bare_forms_stop_at_the_cup_entry_guard():
     with pytest.raises(qr.EnumerationLimitError, match="2048x2048"):
         qr.eval_categorical(tree, model, "exhaustive")
     assert qr.eval_categorical(tree, model, "restricted") == 0.0
+
+
+def test_exhaustive_bare_transitive_stops_at_the_verb_entry_guard(monkeypatch):
+    """Over 11 crisp entities (2048 subsets) the verb of "john see mary"
+    relates 2048^2 subject and object subsets, past the entry guard, so
+    `verb_relation` refuses it before taking a single image."""
+    universe = [f"u{i}" for i in range(11)]
+    model = qr.load_lexicon({
+        "universe": universe, "quantale": "godel", "grades": [0, 1],
+        "nps": {"john": {"u0": 1}, "mary": {"u1": 1}},
+        "verbs": {"see": [["u0", "u1", 1]]},
+    })
+    tree = _tree("john see mary", model)
+
+    def refused(*args):
+        raise AssertionError("an image was taken before the guard")
+
+    monkeypatch.setattr(qr.semantics, "image_grades", refused)
+    with pytest.raises(qr.EnumerationLimitError, match="verb relation of 4194304 pairs"):
+        qr.eval_categorical(tree, model, "exhaustive")
 
 
 def test_degree_of_truth_report(animals):
