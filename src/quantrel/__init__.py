@@ -30,8 +30,8 @@ from .semantics import (Model, MorphismPipeline, TruthReport, compile_pipeline,
                         degree_of_truth, eval_categorical, eval_crisp_truth,
                         eval_zadeh_direct, lexical_state, verb_between,
                         verb_relation, verb_state)
-from .vrel import (CrispRel, IndexSet, VRel, bounded_effect, check_snake,
-                   compose, coname, epsilon, eta, identity, include,
-                   merge_join, name, snake_identities, swap, tensor_rel)
+from .vrel import (CrispRel, IndexSet, VRel, check_snake, compose, coname,
+                   epsilon, eta, identity, include, merge_effect, merge_join,
+                   name, snake_identities, swap, tensor_rel)
 
 __version__ = "0.1.0"

@@ -20,8 +20,9 @@ or true/false):
       }
     }
 
-Omitted "grades" defaults to every grade appearing in the file plus
-0 and 1.  Grades outside [0, 1] are rejected, never clamped.
+The universe is a non-empty JSON list of distinct strings.  Omitted
+"grades" defaults to every grade appearing in the file plus 0 and 1.
+Grades outside [0, 1] are rejected, never clamped.
 """
 
 from __future__ import annotations
@@ -94,9 +95,12 @@ def _grades_in(data: dict):
 
 def _build_model(data: dict) -> Model:
     _object(data, "a lexicon")
-    if "universe" not in data or not data["universe"]:
+    labels = data.get("universe")
+    if not isinstance(labels, list) or not labels:
         raise LexiconFormatError("lexicon needs a non-empty 'universe' list")
-    labels = [str(u) for u in data["universe"]]
+    for u in labels:
+        if not isinstance(u, str):
+            raise LexiconFormatError(f"universe element {u!r:.60} is not a string")
     if len(set(labels)) != len(labels):
         raise LexiconFormatError("universe elements must be distinct")
     universe = IndexSet(labels)

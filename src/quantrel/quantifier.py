@@ -180,8 +180,8 @@ def quantifier_vrel(d: Determiner, source: IndexSet, target: IndexSet,
     tuples: restrictor subsets in source, scope subsets in target.
 
     Every pair holds its `graded_entry` value.  The entry guard counts
-    the pairs.  The evaluator builds no such table: its effect step
-    grades the pairs it reads one at a time (see `semantics._det_effect`).
+    the pairs.  The evaluator builds no such table: its join grades
+    the pairs it reads one at a time (see `semantics._det_effect`).
     """
     require_quantale(d, q)
     n_pairs = len(source) * len(target)

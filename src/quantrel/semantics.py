@@ -52,11 +52,13 @@ quantified form no layer holds more than three subset wires, and values
 are the same bit for bit.
 
 The evaluator never composes the pipeline whole.  It contracts a
-list of factors by a plan built per form at import: `_contraction_plan`
-says which step each layer is and what the exhaustive work guard
-prices, and `_pipeline_value` how each step is computed and why the
-value is the same bit for bit as composing the whole state layer by
-layer with the whole effect.
+list of factors by a plan built per form at import, which ends in one
+join: the last merge or cup feeds the determiners' effect directly
+(`vrel.merge_effect`), so the merged state is never stored.
+`_contraction_plan` says which step each layer is and what the
+exhaustive work guard prices, and `_pipeline_value` how each step is
+computed and why the value is the same bit for bit as composing the
+whole state layer by layer with the whole effect.
 """
 
 from __future__ import annotations
@@ -76,8 +78,8 @@ from .quantale import Quantale
 from .quantifier import (CrispQuantifier, Determiner, FuzzyQuantifier,
                          apply_distribution, apply_quantifier_argmax, gq_holds,
                          graded_entry, quantifier_vrel, require_quantale)
-from .vrel import (MAX_ENTRIES, IndexSet, VRel, bounded_effect, compose, coname,
-                   epsilon, identity, merge_join, name, swap, tensor_rel)
+from .vrel import (MAX_ENTRIES, IndexSet, VRel, compose, coname, epsilon,
+                   identity, merge_effect, merge_join, name, swap, tensor_rel)
 
 
 @dataclass
@@ -451,25 +453,32 @@ _MERGES = frozenset({"mu", "eps"})
 
 
 def _contraction_plan(pipeline: MorphismPipeline) -> Tuple[tuple, int]:
-    """The steps `_pipeline_value` contracts the pipeline by, one per
-    layer: (kind, layer, groups), and the plan's work exponent.
+    """The steps `_pipeline_value` contracts the pipeline by and the
+    plan's work exponent.
 
     The composed state is a list of factors, one per group of wires that
     no atom has joined yet, in wire order; each factor is a relation
-    from the unit.  A layer is
-    - "effect" when its atoms are all determiners and meet a single
-      factor, which they read to the scalar (`vrel.bounded_effect`);
-    - "merge" when its atoms other than identities are merges or cups,
-      the i-th reading the last wire of factor i and the first wire of
-      factor i + 1: it joins the factors left to right into one;
-    - "factorwise" otherwise, when the consecutive atoms that read one
-      factor consume exactly its wires.  Its groups list, per factor
-      after the layer, (None, (state,)) for a new state and (k, atoms)
-      for factor k composed with the tensor of its atoms: a copy,
-      identity or swap re-keys only the factor it acts on, and a verb is
-      composed with the one factor it reads.
-    Any other layer is a construction bug, as is a plan that does not
-    end in one factor without wires: both raise ShapeMismatchError.
+    from the unit.  Every layer up to the merges is a "factorwise" step
+    (kind, layer, groups): the consecutive atoms that read one factor
+    must consume exactly its wires, and its groups list, per factor
+    after the layer, (None, (state,)) for a new state and (k, atoms) for
+    factor k composed with the tensor of its atoms: a copy, identity or
+    swap re-keys only the factor it acts on, and a verb is composed with
+    the one factor it reads.
+
+    The first layer whose atoms other than identities are merges or
+    cups, the i-th reading the last wire of factor i and the first wire
+    of factor i + 1, makes the last step, ("join", layer, dets): it
+    joins the factors left to right into one and reads that through the
+    effect `dets`, the pipeline's last layer of determiners, or through
+    the unit where the pipeline has none (the bare forms, whose cup
+    leaves no wire).  Layers between the merges and the determiners may
+    hold only identities and swaps, which keep each wire's name and so
+    only change the order in which the determiners read the merged
+    wires (DoubleQuant's swap of G' past C2); the join step reads the
+    merged state by wire name instead.  Any other layer is a
+    construction bug, as is a plan without merges, and raises
+    ShapeMismatchError.
 
     So DoubleQuant's first merge joins the subject and verb factors
     before the object factor is met, and the verb of the bare and
@@ -477,30 +486,34 @@ def _contraction_plan(pipeline: MorphismPipeline) -> Tuple[tuple, int]:
 
     An atom meets its input and output wires, and a merge or cup the
     wires of the two factors it joins.  A step's work is at most |P| to
-    the most wires one of them meets, or the size of a factor it re-keys
-    or scans, which the step that made the factor already took.  The
-    work exponent is the most wires met: 2 for the bare forms, 3 for
-    QuantSubject and QuantObject, 5 for DoubleQuant (its second merge
-    joins three wires to two).
+    the most wires one of them meets, or the size of a factor it re-keys,
+    which the step that made the factor already took.  The work exponent
+    is the most wires met: 2 for the bare forms, 3 for QuantSubject and
+    QuantObject, 5 for DoubleQuant (its second merge joins three wires
+    to two).
     """
     factors: List[Tuple[str, ...]] = []
     plan = []
+    merge_layer, dets = None, ()
     exponent = 0
     for layer in pipeline.layers:
         kinds = {atom.kind for atom in layer} - {"id"}
         merges = [atom for atom in layer if atom.kind != "id"]
         meets = [len(atom.wires_in) + len(atom.wires_out) for atom in layer]
-        if kinds == {"det"} and len(factors) == 1:
-            plan.append(("effect", layer, None))
-            factors = [()]
-        elif kinds <= _MERGES and [atom.wires_in for atom in merges] == [
+        if merge_layer is not None:
+            if kinds == {"det"} and layer is pipeline.layers[-1]:
+                dets = layer
+            elif not kinds <= {"sigma"}:
+                raise ShapeMismatchError(
+                    f"a layer of {pipeline.form} after its merges is neither "
+                    f"identities and swaps nor its last layer of determiners")
+        elif merges and kinds <= _MERGES and [atom.wires_in for atom in merges] == [
                 (f[-1], g[0]) for f, g in zip(factors, factors[1:])]:
-            plan.append(("merge", layer, None))
+            merge_layer = layer
             meets, width = [], len(factors[0])
             for f, atom in zip(factors[1:], merges):
                 meets.append(width + len(f))
                 width += len(f) - 2 + len(atom.wires_out)
-            factors = [tuple(w for atom in layer for w in atom.wires_out)]
         else:
             owner = {w: k for k, wires in enumerate(factors) for w in wires}
             groups: List[Tuple[Optional[int], List[Atom]]] = []
@@ -520,10 +533,9 @@ def _contraction_plan(pipeline: MorphismPipeline) -> Tuple[tuple, int]:
             factors = [tuple(w for atom in atoms for w in atom.wires_out)
                        for _, atoms in groups]
         exponent = max([exponent] + meets)
-    if factors != [()]:
-        raise ShapeMismatchError(
-            f"contraction plan of {pipeline.form} leaves factors {factors}")
-    return tuple(plan), exponent
+    if merge_layer is None:
+        raise ShapeMismatchError(f"the pipeline of {pipeline.form} has no merges")
+    return tuple(plan) + (("join", merge_layer, dets),), exponent
 
 
 _PLANS, _WORK_EXPONENTS = {}, {}
@@ -569,17 +581,22 @@ def verb_relation(verb: FuzzyRelation, source_set: IndexSet, target_set: IndexSe
     quantales) or the unit exactly when B is the image of A (Boolean).
     Each image goes through `image_grades` on the verb's rows, so it
     reads only the rows of the elements A holds with a positive grade.
-    The entry guard counts the pairs and refuses before any image is
-    taken.
+    Rows of equal images are equal, so each distinct image's row is
+    built once and shared by every source with that image.  The entry
+    guard counts the pairs and refuses before any image is taken.
     """
     n_pairs = len(source_set) * len(target_set)
     if n_pairs > MAX_ENTRIES:
         raise EnumerationLimitError(
             f"verb relation of {n_pairs} pairs exceeds the entry guard")
     entries = {}
+    rows: Dict[Tuple[float, ...], List[Tuple[int, float]]] = {}
     for i, a in enumerate(source_set.elements):
         image = image_grades(verb.rows, a)
-        for j, g in _state_row(image, target_set, q, threshold):
+        row = rows.get(image)
+        if row is None:
+            row = rows[image] = _state_row(image, target_set, q, threshold)
+        for j, g in row:
             entries[(i, j)] = g
     return VRel(source_set, target_set, q, entries=entries)
 
@@ -626,60 +643,64 @@ def _atom_vrel(atom: Atom, model: Model, wires: Dict[str, IndexSet],
     raise ShapeMismatchError(f"unknown pipeline atom {atom.kind!r}")
 
 
-def _det_effect(layer: Tuple[Atom, ...], model: Model, wires: Dict[str, IndexSet],
-                den: _Denotations, state: VRel):
-    """The effect of a layer of determiners at position k of the state
-    it meets, the function `vrel.bounded_effect` reads: the entry the
-    tensor of their conames holds at row k.
+def _det_effect(dets: Tuple[Atom, ...], model: Model, wires: Dict[str, IndexSet],
+                den: _Denotations, merged: Tuple[str, ...]):
+    """The effect of a layer of determiners at position k of the merged
+    state over wires `merged`, the function `vrel.merge_effect` reads:
+    the entry the tensor of their conames holds at the row of the same
+    subsets, and whether the join may stop early.  With no determiners
+    it is the unit, the effect of the bare forms' empty last layer.
 
-    This is the one place the evaluator grades a determiner.  Its pair
-    is its digit of k, row-major as `tensor_rel` lays the layer out,
-    graded by `quantifier.graded_entry` on first read and kept, so no
-    pair is graded twice; the entry is the one `quantifier_vrel`'s
-    table holds there.  Two determiners combine left to right by the
-    tensor, as `tensor_rel` combines their effects (the first meets the
-    unit, which leaves it unchanged), and a bottom grade of the first
-    leaves the second unread.  The pairs the state reaches are
-    conservative, (A, A∧B), since the scope wire merges the restrictor
-    with the scope.  An "exactly" determiner refuses a graded
+    This is the one place the evaluator grades a determiner.  Its
+    restrictor and scope are the digits of k at their wires' places in
+    `merged`, row-major as `merge_join` lays its target out, so a swap
+    between the merges and the determiners costs no re-keying; each
+    pair is graded by `quantifier.graded_entry` on first read and kept,
+    so no pair is graded twice, and the entry is the one
+    `quantifier_vrel`'s table holds there.  Two determiners combine left
+    to right by the tensor, as `tensor_rel` combines their effects (the
+    first meets the unit, which leaves it unchanged), and a bottom grade
+    of the first leaves the second unread.  The pairs the state reaches
+    are conservative, (A, A∧B), since the scope wire merges the
+    restrictor with the scope.  An "exactly" determiner refuses a graded
     restrictor or scope at every pair the state reaches, as the whole
-    effect would, so it is graded at all of them up front."""
+    effect would, so with one in the layer the join may not stop early
+    and every determiner is read at every position it reaches."""
     q, t = model.quantale, model.threshold
+    places, stride = {}, 1
+    for w in reversed(merged):
+        places[w] = (stride, len(wires[w]))
+        stride *= len(wires[w])
 
-    def grader(d: Determiner, source: IndexSet, target: IndexSet, stride: int):
-        restrictors, scopes, n = source.elements, target.elements, len(target)
-        size = len(source) * n
+    def grader(d: Determiner, restrictor: str, scope: str):
+        (s_a, n_a), (s_b, n_b) = places[restrictor], places[scope]
+        restrictors, scopes = wires[restrictor].elements, wires[scope].elements
         graded: Dict[int, float] = {}
 
         def grade(k: int) -> float:
-            k = k // stride % size
-            g = graded.get(k)
+            i, j = k // s_a % n_a, k // s_b % n_b
+            g = graded.get(i * n_b + j)
             if g is None:
-                i, j = divmod(k, n)
-                g = graded[k] = graded_entry(d, restrictors[i], scopes[j], t)
+                g = graded[i * n_b + j] = graded_entry(d, restrictors[i], scopes[j], t)
             return g
 
-        if isinstance(d, CrispQuantifier) and d.kind == "exactly":
-            for _, k in state.entries():
-                grade(k)
         return grade
 
-    graders, stride = [], 1
-    for atom in reversed(layer):
-        source, target = (wires[w] for w in atom.wires_in)
-        graders.insert(0, grader(den.by_label(atom.label), source, target, stride))
-        stride *= len(source) * len(target)
+    quantifiers = [den.by_label(atom.label) for atom in dets]
+    graders = [grader(d, *atom.wires_in) for d, atom in zip(quantifiers, dets)]
+    stop = not any(isinstance(d, CrispQuantifier) and d.kind == "exactly"
+                   for d in quantifiers)
     tensor, unit, bottom = q.tensor, q.unit, q.bottom
 
     def effect(k: int) -> float:
         e = unit
         for grade in graders:
             e = tensor(e, grade(k))
-            if e == bottom:
+            if e == bottom and stop:
                 break
         return e
 
-    return effect
+    return effect, stop
 
 
 def _pipeline_value(form: SentenceForm, model: Model,
@@ -688,17 +709,16 @@ def _pipeline_value(form: SentenceForm, model: Model,
     (`_contraction_plan`).
 
     A factorwise step starts a factor at each state and composes every
-    other factor with the tensor of the atoms that read it.  A merge
-    step joins the factors left to right, each merge or cup by
-    `merge_join` of the state so far, the next factor and its own map,
-    so no tensor of two states is stored.
-
-    The determiner layer is the bounded effect step: `bounded_effect`
-    gives compose(state, effect).scalar() without building the effect.
-    It visits the state's entries by descending grade g, reads the
-    effect, the tensor of the determiners' conames, at each
-    (`_det_effect`), and stops at the first g not above the best value,
-    since t(g, e) <= t(g, 1) == g for every effect grade e.
+    other factor with the tensor of the atoms that read it.  The join
+    step joins the factors left to right, each merge or cup but the last
+    by `merge_join` of the state so far, the next factor and its own
+    map, so no tensor of two states is stored.  Its last merge goes
+    through `merge_effect` with the determiners' effect (`_det_effect`),
+    so the merged state is not stored either: the kernel visits the two
+    factors' grades from the top, reads the effect only where a pair
+    lands above every grade seen at its position, and stops where no
+    pair left can beat the best value, since t(g, e) <= t(g, 1) == g for
+    every effect grade e.
 
     The value is the same bit for bit as composing the whole joined
     state layer by layer: copies, identities and swaps are injective
@@ -709,28 +729,25 @@ def _pipeline_value(form: SentenceForm, model: Model,
     the B factor that the diagram composes first); and each float tensor
     is monotone, so t(max(x, y), z) == max(t(x, z), t(y, z)) exactly,
     which lets DoubleQuant's first merge join the (np, v) grades by max
-    before they meet np'.  The effect step drops only entries whose
-    every candidate is at most the best value, and max is exact.
+    before they meet np', and the last merge's grades meet the effect
+    pair by pair before they are joined.  The join drops only pairs
+    whose every candidate is at most the best value, and max is exact.
     """
+    *steps, (_, layer, dets) = _PLANS[form]
     factors: List[VRel] = []
-    for kind, layer, groups in _PLANS[form]:
-        if kind == "merge":
-            merges = [atom for atom in layer if atom.kind != "id"]
-            state = factors[0]
-            for right, atom in zip(factors[1:], merges):
-                state = merge_join(state, right, _atom_vrel(atom, model, wires, den))
-            factors = [state]
-            continue
-        if kind == "effect":
-            state, = factors
-            effect = _det_effect(layer, model, wires, den, state)
-            return float(bounded_effect(state, effect))
+    for _, _, groups in steps:
         out = []
         for k, atoms in groups:
             rel = reduce(tensor_rel, [_atom_vrel(atom, model, wires, den) for atom in atoms])
             out.append(rel if k is None else compose(factors[k], rel))
         factors = out
-    return float(factors[0].scalar())
+    maps = [_atom_vrel(atom, model, wires, den) for atom in layer if atom.kind != "id"]
+    state = factors[0]
+    for right, m in zip(factors[1:-1], maps):
+        state = merge_join(state, right, m)
+    merged = tuple(w for atom in layer for w in atom.wires_out)
+    effect, stop = _det_effect(dets, model, wires, den, merged)
+    return float(merge_effect(state, factors[-1], maps[-1], effect, stop))
 
 
 def _restricted_wires(den: _Denotations) -> Dict[str, IndexSet]:

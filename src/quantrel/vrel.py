@@ -28,9 +28,10 @@ their small end rather than in the size of the huge middle object.
 `merge_join` joins two states through a merge or cup that reads the
 last wire of the first and the first wire of the second: it is their
 tensor composed with that map, computed pair by pair without storing
-the tensor.  `bounded_effect` reads a state through an effect to a
-scalar, as compose would, but visits the state's grades from the top
-and stops at the first that cannot beat the best value found.
+the tensor.  `merge_effect` is that join read through an effect to a
+scalar, with the joined state never stored either: it visits both
+states' grades from the top and stops where no pair left can beat the
+best value found.
 
 identity, swap and epsilon are both what the snake and bialgebra law
 checkers certify and what the categorical evaluator wires its sentence
@@ -49,6 +50,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
@@ -469,6 +471,31 @@ def _product(leaves) -> IndexSet:
     return functools.reduce(IndexSet.tensor, leaves, IndexSet.unit())
 
 
+def _merge_operands(r: VRel, s: VRel, m: VRel, caller: str):
+    """Check that an index map m: A x B -> C reads the last wire of the
+    state r: I -> X x A and the first wire of the state s: I -> B x Y,
+    and refuse, as `tensor_rel` does, a pair of states whose tensor it
+    would refuse to store.  Returns the atomic sets of r and of s and
+    the sizes of A, B and Y."""
+    if not (r.source.is_unit() and s.source.is_unit()):
+        raise ShapeMismatchError(f"{caller} needs two states")
+    if not (r.quantale is s.quantale is m.quantale):
+        raise ShapeMismatchError(f"{caller} needs one quantale")
+    if not m.is_map():
+        raise ShapeMismatchError(f"{caller} needs an index map to merge by")
+    left = r.target.leaves or (r.target,)
+    right = s.target.leaves or (s.target,)
+    if m.source != _product(left[-1:] + right[:1]):
+        raise ShapeMismatchError(f"{caller}: the map does not read the states' "
+                                 "last and first wires")
+    sizes = [1 if rel.is_map() else len(rel._entries) for rel in (r, s)]
+    if sizes[0] * sizes[1] > MAX_ENTRIES:
+        raise EnumerationLimitError(
+            f"tensor of {sizes[0]} by {sizes[1]} entries exceeds the entry guard")
+    n_b = len(right[0])
+    return left, right, len(left[-1]), n_b, len(s.target) // n_b
+
+
 def merge_join(r: VRel, s: VRel, m: VRel) -> VRel:
     """compose(tensor_rel(r, s), id(X) x m x id(Y)) for states r: I -> X x A
     and s: I -> B x Y and an index map m: A x B -> C (a merge or a cup),
@@ -480,25 +507,9 @@ def merge_join(r: VRel, s: VRel, m: VRel) -> VRel:
     target list is read one row a at a time.  The guard is
     `tensor_rel`'s, so this refuses exactly the states whose tensor
     `tensor_rel` refuses to store."""
-    if not (r.source.is_unit() and s.source.is_unit()):
-        raise ShapeMismatchError("merge_join needs two states")
-    if not (r.quantale is s.quantale is m.quantale):
-        raise ShapeMismatchError("merge_join needs one quantale")
-    if not m.is_map():
-        raise ShapeMismatchError("merge_join needs an index map to merge by")
-    left = r.target.leaves or (r.target,)
-    right = s.target.leaves or (s.target,)
-    a_set, b_set = left[-1:], right[:1]
-    if m.source != _product(a_set + b_set):
-        raise ShapeMismatchError("merge_join: the map does not read the states' "
-                                 "last and first wires")
-    sizes = [1 if rel.is_map() else len(rel._entries) for rel in (r, s)]
-    if sizes[0] * sizes[1] > MAX_ENTRIES:
-        raise EnumerationLimitError(
-            f"tensor of {sizes[0]} by {sizes[1]} entries exceeds the entry guard")
+    left, right, n_a, n_b, n_y = _merge_operands(r, s, m, "merge_join")
     q = r.quantale
-    n_a, n_b, n_c = len(a_set[0]), len(b_set[0]), len(m.target)
-    n_y = len(s.target) // n_b
+    n_c = len(m.target)
     by_a: Dict[int, List[Tuple[int, Grade]]] = {}
     for (_, k), g in r.entries().items():
         x, a = divmod(k, n_a)
@@ -525,31 +536,65 @@ def merge_join(r: VRel, s: VRel, m: VRel) -> VRel:
     return VRel(r.source, target, q, entries={(0, k): g for k, g in acc.items()})
 
 
-def bounded_effect(r: VRel, effect: Callable[[int], Grade]) -> Grade:
-    """compose(r, e).scalar() for a state r: I -> X and an effect
-    e: X -> I given by `effect(k)`, its grade at position k of X
-    (bottom where e has no entry).
+def merge_effect(r: VRel, s: VRel, m: VRel, effect: Callable[[int], Grade],
+                 stop: bool = True) -> Grade:
+    """compose(merge_join(r, s, m), e).scalar() for an effect e given by
+    `effect(k)`, its grade at position k of merge_join's target (bottom
+    where e has no entry), with the merged state never stored.
 
-    r's entries are visited by descending grade, and e is read only at
-    the positions visited.  The scan stops at the first grade g that is
-    not above the best value so far: every tensor is monotone and keeps
-    its unit law exactly, so tensor(g', e) <= tensor(g', unit) == g' <= g
-    for every later grade g' and every e, and no later entry can raise
-    the join.  This is the stopping rule of Fagin, Lotem and Naor's
-    threshold algorithm.  Max is exact, so the value is compose's bit
-    for bit."""
-    if not r.source.is_unit():
-        raise ShapeMismatchError("bounded_effect needs a state")
+    r's entries and s's are each sorted by descending grade, and pairs
+    are visited in that order, s's entries from the top for each entry
+    of r.  A pair of grades g1, g2 whose row of m has a target lands at
+    position k with grade t(g1, g2) and adds t(t(g1, g2), e(k)) to the
+    join.  Each float tensor is monotone, so t(max(x, y), e) ==
+    max(t(x, e), t(y, e)) exactly, and the join over pairs is compose's
+    value bit for bit.  Every tensor keeps its unit law exactly, so
+    t(g, e) <= t(g, unit) == g, and a pair whose grade is not above the
+    best value so far cannot raise it; nor can a later pair of the same
+    entry of r, whose grade is no larger, nor any pair of an entry of r
+    whose grade g1 is not above it.  So the inner scan stops at the
+    first pair that lands with such a grade and the outer at the first
+    such g1: the stopping rule of Fagin, Lotem and Naor's threshold
+    algorithm, applied to the join's two inputs as in Ilyas, Aref and
+    Elmagarmid's rank join.  e is read only where a pair lands with a
+    grade above every grade already seen at its position, since a lower
+    one adds nothing.
+
+    With `stop` false the scans skip only the pairs of bottom grade,
+    which merge_join does not store, so e is read at every position of
+    the merged state's support, for a caller whose effect must see
+    each of them."""
+    _, _, n_a, n_b, n_y = _merge_operands(r, s, m, "merge_effect")
+    n_xc = len(m.target) * n_y
+    by_grade = itemgetter(0)
+    xs = sorted(((g, k // n_a * n_xc, k % n_a * n_b)
+                 for (_, k), g in r.entries().items()), key=by_grade, reverse=True)
+    ys = sorted(((g, *divmod(k, n_y)) for (_, k), g in s.entries().items()),
+                key=by_grade, reverse=True)
+    targets = m._targets()
     q = r.quantale
-    ent = r._entries if r._entries is not None else r.entries()
-    tensor, best = q.tensor, q.bottom
-    for key in sorted(ent, key=ent.__getitem__, reverse=True):
-        g = ent[key]
-        if g <= best:
+    tensor, bottom = q.tensor, q.bottom
+    best = floor = bottom
+    seen: Dict[int, Grade] = {}
+    get = seen.get
+    for g1, x, row in xs:
+        if g1 <= floor:
             break
-        v = tensor(g, effect(key[1]))
-        if v > best:
-            best = v
+        for g2, b, y in ys:
+            c = targets[row + b]
+            if c < 0:
+                continue
+            g = tensor(g1, g2)
+            if g <= floor:
+                break
+            k = x + c * n_y + y
+            if g > get(k, bottom):
+                seen[k] = g
+                v = tensor(g, effect(k))
+                if v > best:
+                    best = v
+                    if stop:
+                        floor = v
     return best
 
 

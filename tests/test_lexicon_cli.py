@@ -102,12 +102,17 @@ def test_rejects_numbers_given_as_strings_or_bools(edit):
     lambda d: d.update(quantifiers=[]),
     lambda d: d.update(nps=[]),
     lambda d: d.update(verbs=[]),
+    lambda d: d.update(universe="ab"),
+    lambda d: d.update(universe=["a", "b", ["c", "d"]]),
+    lambda d: d.update(universe=["a", "b", 3]),
 ], ids=["two-element-verb-entry", "quantifier-as-string", "noun-as-number",
-        "quantifiers-as-list", "nps-as-list", "verbs-as-list"])
+        "quantifiers-as-list", "nps-as-list", "verbs-as-list", "universe-as-string",
+        "universe-list-element", "universe-number-element"])
 def test_rejects_malformed_structure(edit):
-    """small.json loads as shipped; a verb entry without its grade, or a
-    group or entry that is not a JSON object, is a LexiconFormatError,
-    never a raw IndexError or AttributeError."""
+    """small.json loads as shipped; a verb entry without its grade, a
+    group or entry that is not a JSON object, or a universe that is not
+    a list of strings, is a LexiconFormatError, never a raw IndexError
+    or AttributeError, and no universe element is made a string."""
     data = json.loads((LEXICON_DIR / "small.json").read_text())
     qr.load_lexicon(data)
     edit(data)

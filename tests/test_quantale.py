@@ -120,8 +120,8 @@ def test_float_tensor_is_monotone_and_distributes_over_max_exactly(q):
     x + z - 1 rounds for x just below 1).  The evaluator's merge step
     joins a factor's grades by max before they meet the next factor's,
     so its values are bit for bit those of the whole joined tensor.
-    And t(g, e) <= g, the bound the effect step stops on
-    (`vrel.bounded_effect`): no effect grade lifts a state grade."""
+    And t(g, e) <= g, the bound the join's effect step stops on
+    (`vrel.merge_effect`): no effect grade lifts a state grade."""
     grid = _adversarial_grades()
     assert len(grid) > 400 and grid[0] == 0.0 and grid[-1] == 1.0
     t = q.tensor

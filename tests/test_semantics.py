@@ -429,20 +429,30 @@ def test_exhaustive_quant_subject_grades_only_conservative_pairs(monkeypatch):
 
 
 def test_contraction_plans_join_only_where_atoms_meet():
-    """Each form joins two factors only at its merges and cups (m), reads
-    the single factor left to the scalar at its determiners (e) and maps
-    factor by factor everywhere else (f), its verb included; a swap
-    across two factors is refused.  A plan's work exponent is the most
-    wires one atom, or one merge's two factors, meet."""
-    from quantrel.semantics import (_PLANS, _WORK_EXPONENTS, _contraction_plan, _eps,
-                                    _sigma, _state)
+    """Each form maps factor by factor (f) up to its merges and cups, its
+    verb included, and ends in one join step (j) that joins the factors
+    there and reads them through its determiners, the bare forms through
+    none; a swap across two factors, and a layer after the merges other
+    than identities, swaps or the last determiners, is refused.  A
+    plan's work exponent is the most wires one atom, or one merge's two
+    factors, meet."""
+    from quantrel.semantics import (_PLANS, _WORK_EXPONENTS, _contraction_plan, _delta,
+                                    _eps, _mu, _sigma, _state)
     steps = {form: "".join(kind[0] for kind, _, _ in plan) for form, plan in _PLANS.items()}
     assert steps == {
-        qr.SentenceForm.BARE_INTRANSITIVE: "fm",
-        qr.SentenceForm.QUANT_SUBJECT: "ffme",
-        qr.SentenceForm.BARE_TRANSITIVE: "fffm",
-        qr.SentenceForm.QUANT_OBJECT: "ffffme",
-        qr.SentenceForm.DOUBLE_QUANT: "ffmfe",
+        qr.SentenceForm.BARE_INTRANSITIVE: "fj",
+        qr.SentenceForm.QUANT_SUBJECT: "ffj",
+        qr.SentenceForm.BARE_TRANSITIVE: "fffj",
+        qr.SentenceForm.QUANT_OBJECT: "ffffj",
+        qr.SentenceForm.DOUBLE_QUANT: "ffj",
+    }
+    dets = {form: [atom.label for atom in plan[-1][2]] for form, plan in _PLANS.items()}
+    assert dets == {
+        qr.SentenceForm.BARE_INTRANSITIVE: [],
+        qr.SentenceForm.QUANT_SUBJECT: ["d"],
+        qr.SentenceForm.BARE_TRANSITIVE: [],
+        qr.SentenceForm.QUANT_OBJECT: ["d"],
+        qr.SentenceForm.DOUBLE_QUANT: ["d", "d'"],
     }
     assert _WORK_EXPONENTS == {
         qr.SentenceForm.BARE_INTRANSITIVE: 2,
@@ -456,12 +466,19 @@ def test_contraction_plans_join_only_where_atoms_meet():
     crossing.check_types()
     with pytest.raises(qr.ShapeMismatchError, match="neither maps one by one nor merges"):
         _contraction_plan(crossing)
+    copied = qr.MorphismPipeline(qr.SentenceForm.BARE_INTRANSITIVE, (
+        (_state("np", "A"), _state("vp", "B")), (_mu("A", "B", "G"),),
+        (_delta("G", "G1", "G2"),), (_eps("G1", "G2"),)))
+    copied.check_types()
+    with pytest.raises(qr.ShapeMismatchError, match="after its merges"):
+        _contraction_plan(copied)
 
 
 def test_exhaustive_stores_no_joined_state(monkeypatch):
     """Every form, both QuantSubject readings included, contracts its
-    merges and cups by `vrel.merge_join`: no `tensor_rel` call in
-    exhaustive mode takes the tensor of two states."""
+    merges and cups by `vrel.merge_join` and `vrel.merge_effect`: no
+    `tensor_rel` call in exhaustive mode takes the tensor of two
+    states."""
     model = randomize_model(qr.load_lexicon(_route_lexicon(2, [0, 0.5, 1], "product")),
                             random.Random(5))
     operands = []
@@ -479,6 +496,31 @@ def test_exhaustive_stores_no_joined_state(monkeypatch):
         qr.eval_categorical(_tree(sentence, model), model, "exhaustive")
     assert operands
     assert not any(r.source.is_unit() and s.source.is_unit() for r, s in operands)
+
+
+def test_only_double_quant_stores_a_merged_state(monkeypatch):
+    """The last merge or cup of every form feeds the join's effect
+    directly (`vrel.merge_effect`), so only DoubleQuant, whose first of
+    two merges joins the subject and verb factors, calls `merge_join`,
+    once per sentence; the other forms call it never."""
+    model = randomize_model(qr.load_lexicon(_route_lexicon(2, [0, 0.5, 1], "godel")),
+                            random.Random(6))
+    merge_join = qr.semantics.merge_join
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return merge_join(*args)
+
+    monkeypatch.setattr(qr.semantics, "merge_join", counting)
+    by_form = {}
+    for sentence in _all_sentences(model, rng=random.Random(7), most=4):
+        form = qr.classify(_tree(sentence, model))
+        calls.clear()
+        qr.eval_categorical(_tree(sentence, model), model, "exhaustive")
+        by_form.setdefault(form, set()).add(len(calls))
+    assert by_form == {form: {1 if form is qr.SentenceForm.DOUBLE_QUANT else 0}
+                       for form in qr.SentenceForm}
 
 
 def _layered_value(form, model, wires, den):
@@ -656,6 +698,33 @@ def test_exhaustive_exactly_over_graded_lattice_raises():
     model = qr.load_lexicon(data)
     with pytest.raises(qr.EvaluationError, match="crisp membership"):
         qr.eval_categorical(_tree("exactly1 men run", model), model, "exhaustive")
+
+
+def test_exactly_turns_the_join_stop_rule_off_and_is_read_everywhere():
+    """With an "exactly" determiner in its layer the effect may not stop
+    early, and it reads every determiner at every position, even where
+    an earlier one is bottom: "some" is 0 at an empty restrictor, and
+    the graded pair of "exactly1" at the same position still raises."""
+    from quantrel.semantics import _PLANS, _det_effect
+    data = _object_lexicon("godel")
+    data["quantifiers"].update(exactly1={"kind": "exactly", "n": 1}, some={"kind": "some"})
+    model = qr.load_lexicon(data)
+    p = model.powerset().index
+    dets = _PLANS[qr.SentenceForm.DOUBLE_QUANT][-1][2]
+    merged = ("A1", "G", "G'", "C2")
+    wires = dict.fromkeys(merged, p)
+    empty, graded = (0.0, 0.0, 0.0), (0.25, 0.0, 0.0)
+    k = 0
+    for subset in (empty, empty, graded, graded):
+        k = k * len(p) + p.position(subset)
+    den = qr.semantics.bind(_tree("some men see every men", model), model)
+    effect, stop = _det_effect(dets, model, wires, den, merged)
+    assert stop and effect(k) == 0.0
+    den = qr.semantics.bind(_tree("some men see exactly1 men", model), model)
+    effect, stop = _det_effect(dets, model, wires, den, merged)
+    assert not stop
+    with pytest.raises(qr.EvaluationError, match="crisp membership"):
+        effect(k)
 
 
 def test_boolean_collapse_sample():
@@ -842,6 +911,35 @@ def test_verb_state_peaks_at_image(animals):
     n = len(p.index)
     key = (0, p.index.position(a) * n + p.index.position(image))
     assert state.entries()[key] == 1.0
+
+
+def test_verb_relation_builds_one_row_per_distinct_image(monkeypatch):
+    """Sources with equal images share one state row: over 27 subsets the
+    verb relation builds exactly as many proportion rows as there are
+    distinct images, far fewer than sources, and equals the relation
+    with a row built per source."""
+    u = qr.IndexSet(["a", "b", "c"])
+    p = qr.PowersetObject(u, qr.GradeLattice([0, 0.5, 1])).index
+    verb = qr.FuzzyRelation(u, {("a", "b"): 1.0, ("a", "c"): 0.5, ("b", "c"): 1.0})
+    images = {qr.semantics.image_grades(verb.rows, a) for a in p.elements}
+    assert len(images) < len(p) // 2
+    proportion_row = qr.semantics.proportion_row
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return proportion_row(*args)
+
+    monkeypatch.setattr(qr.semantics, "proportion_row", counting)
+    rel = qr.verb_relation(verb, p, p, qr.PRODUCT)
+    assert len(built) == len(images)
+    monkeypatch.undo()
+    want = {}
+    for i, a in enumerate(p.elements):
+        image = qr.FuzzySet(u, qr.semantics.image_grades(verb.rows, a))
+        for (_, j), g in qr.lexical_state(image, p, qr.PRODUCT).entries().items():
+            want[(i, j)] = g
+    assert rel.entries() == want and want
 
 
 # -- guards and errors -----------------------------------------------------------

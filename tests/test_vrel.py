@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import quantrel as qr
 from conftest import godel_compose_oracle
@@ -203,52 +204,87 @@ def test_merge_join_equals_its_definition(q):
         qr.merge_join(r, s, qr.epsilon(x, q))
 
 
+def _kernel_state(draw, target, q, rng):
+    """A state on target: stored entries at a drawn density (grades
+    0.1 and 0.25 meet to the Lukasiewicz bottom), or an index map with
+    one entry or none."""
+    kind = draw(st.sampled_from(("entries", "entries", "map", "empty map")))
+    if kind == "entries":
+        return _random_vrel(qr.IndexSet.unit(), target, q, rng,
+                            draw(st.sampled_from((0.2, 0.6, 1.0))))
+    j = rng.randrange(len(target)) if kind == "map" else -1
+    return qr.VRel(qr.IndexSet.unit(), target, q, index_map=[j])
+
+
 @pytest.mark.parametrize("q", ALL, ids=lambda q: q.name)
-def test_bounded_effect_equals_its_definition(q):
-    """bounded_effect(r, e) is compose(r, e).scalar(), with no tolerance,
-    reading e only inside r's support and each position at most once:
-    an empty state, index-map states (one entry, none), random states,
-    states whose grades all tie, against effects with entries missing,
-    read as bottom, at the unit or random.  Against the unit effect, one
-    read settles the join."""
-    rng = random.Random(31)
-    x, unit = qr.IndexSet(range(12)), qr.IndexSet.unit()
-    top = 1.0 if q is qr.BOOLEAN else 0.75
-    states = [qr.VRel(unit, x, q, entries={}), qr.VRel(unit, x, q, index_map=[7]),
-              qr.VRel(unit, x, q, index_map=[-1]),
-              qr.VRel(unit, x, q, entries={(0, j): top for j in range(0, 12, 2)})]
-    states += [_random_vrel(unit, x, q, rng, density)
-               for density in (0.3, 0.7, 1.0) for _ in range(4)]
-    effects = [qr.VRel(x, unit, q, entries={}),
-               qr.VRel(x, unit, q, entries={(j, 0): 1.0 for j in range(12)}),
-               qr.VRel(x, unit, q, entries={(j, 0): top for j in range(1, 12, 2)})]
-    effects += [_random_vrel(x, unit, q, rng, density)
-                for density in (0.3, 0.7, 1.0) for _ in range(4)]
-    values = set()
-    for r in states:
-        support = {k for _, k in r.entries()}
-        for e in effects:
-            reads = []
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_merge_effect_equals_its_definition(q, data):
+    """merge_effect(r, s, m, e) is
+    compose(compose(tensor_rel(r, s), id (x) m (x) id), e).scalar(), with
+    no tolerance, for m a merge over a whole powerset, a merge into a
+    restricted set that lacks some meets, or a cup, with and without
+    wires beside the ones it reads; states stored or index maps; effects
+    with bottom entries, at the unit or empty.  e is read only inside
+    the merged state's support, and, with the stop rule off, at every
+    position of it."""
+    draw = data.draw
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    p = qr.PowersetObject(qr.IndexSet(["a", "b"]),
+                          qr.GradeLattice((0, 1) if q is qr.BOOLEAN else (0, 0.5, 1))).index
+    restricted = qr.IndexSet(p.elements[len(p) // 2:])
+    x, y = _sets(2, 3)
+    m = draw(st.sampled_from((qr.mu(p, p, p, q), qr.mu(p, p, restricted, q),
+                              qr.epsilon(p, q))))
+    left, right = draw(st.sampled_from((None, x))), draw(st.sampled_from((None, y, p)))
+    r = _kernel_state(draw, p if left is None else left.tensor(p), q, rng)
+    s = _kernel_state(draw, p if right is None else p.tensor(right), q, rng)
+    joined = qr.compose(qr.tensor_rel(r, s), _around(m, left, right, q))
+    unit = qr.IndexSet.unit()
+    e = draw(st.sampled_from(("random", "unit", "empty")))
+    if e == "random":
+        e = _random_vrel(joined.target, unit, q, rng, draw(st.sampled_from((0.3, 0.7, 1.0))))
+    else:
+        e = qr.VRel(joined.target, unit, q, entries={
+            (j, 0): 1.0 for j in range(len(joined.target)) if e == "unit"})
+    stop = draw(st.booleans())
+    grades, reads = e.entries(), []
 
-            def read(k, grades=e.entries()):
-                reads.append(k)
-                return grades.get((k, 0), q.bottom)
+    def read(k):
+        reads.append(k)
+        return grades.get((k, 0), q.bottom)
 
-            got = qr.bounded_effect(r, read)
-            assert got == qr.compose(r, e).scalar()
-            assert set(reads) <= support and len(set(reads)) == len(reads)
-            if e is effects[1]:
-                assert len(reads) == min(1, len(support))
-            values.add(got)
-    assert len(values) >= (2 if q is qr.BOOLEAN else 5)
-    with pytest.raises(qr.ShapeMismatchError, match="needs a state"):
-        qr.bounded_effect(qr.identity(x, q), lambda k: 1.0)
+    got = qr.merge_effect(r, s, m, read, stop)
+    assert got == qr.compose(joined, e).scalar()
+    support = {k for _, k in joined.entries()}
+    assert set(reads) <= support
+    if not stop:
+        assert set(reads) == support
+
+
+def test_merge_effect_stops_early_and_checks_its_map():
+    """Against the unit effect the first pair that lands settles the
+    join: over a cup of two full states on 9 subsets the kernel reads
+    the effect once, where the merged state has 9 positions' worth of
+    pairs; a map that does not read the states' facing wires is
+    refused."""
+    q = qr.GODEL
+    p = qr.PowersetObject(qr.IndexSet(["a", "b"]), qr.GradeLattice((0, 0.5, 1))).index
+    unit = qr.IndexSet.unit()
+    full = qr.VRel(unit, p, q, entries={(0, j): 1.0 for j in range(len(p))})
+    reads = []
+    assert qr.merge_effect(full, full, qr.epsilon(p, q),
+                           lambda k: reads.append(k) or 1.0) == 1.0
+    assert reads == [0]
+    x, = _sets(2)
+    with pytest.raises(qr.ShapeMismatchError, match="last and first wires"):
+        qr.merge_effect(full, full, qr.epsilon(x, q), lambda k: 1.0)
 
 
 @pytest.mark.parametrize("q", ALL, ids=lambda q: q.name)
 def test_merge_join_guard_is_the_tensor_guard(q, monkeypatch):
-    """merge_join refuses exactly the pairs of states, stored or maps,
-    whose tensor `tensor_rel` refuses to store."""
+    """merge_join and merge_effect refuse exactly the pairs of states,
+    stored or maps, whose tensor `tensor_rel` refuses to store."""
     s = qr.IndexSet(range(12))
     m = qr.epsilon(s, q)
     monkeypatch.setattr(qr.vrel, "MAX_ENTRIES", 40)
@@ -265,9 +301,13 @@ def test_merge_join_guard_is_the_tensor_guard(q, monkeypatch):
                 refused += 1
                 with pytest.raises(qr.EnumerationLimitError):
                     qr.merge_join(r, t, m)
+                with pytest.raises(qr.EnumerationLimitError):
+                    qr.merge_effect(r, t, m, lambda k: 1.0)
             else:
                 assert qr.merge_join(r, t, m).equal(
                     qr.compose(qr.tensor_rel(r, t), m))
+                assert qr.merge_effect(r, t, m, lambda k: 1.0) == (
+                    qr.compose(qr.tensor_rel(r, t), m).scalar())
     assert 0 < refused < len(states) ** 2
 
 
