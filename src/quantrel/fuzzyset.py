@@ -143,11 +143,17 @@ def proportion_row(bs: Iterable[Sequence[float]], a: Sequence[float],
                    threshold: float) -> Optional[List[float]]:
     """Relative cardinality of each grade tuple of bs in grade tuple a,
     sigma(a & b) / sigma(a), with sigma(a) summed once; None when
-    sigma(a) is zero.  This is the one proportion kernel."""
-    denom = sum(g for g in a if g >= threshold)
+    sigma(a) is zero.  This is the one proportion kernel.
+
+    The sums filter by the bound method `float(threshold).__le__`, which
+    keeps the grades `g >= threshold` keeps, in the same order; the
+    float() matters, since int.__le__(float) is NotImplemented, which is
+    truthy."""
+    kept = float(threshold).__le__
+    denom = sum(filter(kept, a))
     if denom == 0.0:
         return None
-    return [sum(m for m in map(min, a, b) if m >= threshold) / denom for b in bs]
+    return [sum(filter(kept, map(min, a, b))) / denom for b in bs]
 
 
 def proportion(b: FuzzySet, a: FuzzySet, threshold: float = 0.0) -> float:

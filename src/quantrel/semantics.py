@@ -34,6 +34,10 @@ quantified sentences restricted mode computes the operational reading
 (apply each determiner to its noun by scaling, then score the verb
 between the two results), which is also what the direct method does;
 exhaustive mode evaluates the compiled pipeline as a genuine join.
+Exhaustive mode builds the powerset object and the copy, merge and cup
+maps over it once per lattice and shares them among every sentence it
+scores there (`_per_lattice`); each sentence's states, verb relation
+and determiner grades are its own.
 
 Every structural atom of a pipeline is built by the same constructor
 the law checkers certify: `bialgebra.delta` and `bialgebra.mu`,
@@ -65,7 +69,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from typing import Dict, List, Optional, Tuple, Union
 
 from .bialgebra import GradeLattice, PowersetObject, delta, mu
@@ -136,7 +140,10 @@ class Model:
                 and all(rel.is_crisp() for rel in self.verbs.values()))
 
     def powerset(self) -> PowersetObject:
-        return PowersetObject(self.universe, self.grades)
+        """The powerset object of the universe over the grade lattice,
+        one object shared by every model with the same universe labels
+        and lattice grades (`_per_lattice`)."""
+        return _per_lattice("powerset", self.universe.elements, self.grades.grades)
 
 
 # -- binding a sentence to a model -----------------------------------------
@@ -611,13 +618,60 @@ def verb_state(verb: FuzzyRelation, source_set: IndexSet, target_set: IndexSet,
 # -- categorical evaluation -------------------------------------------------
 
 
+# Entries `_per_lattice` keeps.  The exhaustive_join benchmark's four
+# lattices under three quantales take 40: 4 powersets and 36 copy, merge
+# and cup maps (a factor only identities read is carried over, so no
+# identity is built).  An entry holds at most MAX_ENTRIES positions: at
+# 1369 subsets, the largest powerset the bare forms admit (37 grades on
+# 2 elements), the cup is a list of 1.87e6 positions, and one lattice
+# and quantale keep 15 MB.
+PER_LATTICE_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=PER_LATTICE_CACHE_SIZE)
+def _per_lattice(kind: str, *key):
+    """What exhaustive mode shares among the sentences it scores over
+    one lattice, built on first use.
+
+    ("powerset", labels, grades) is the powerset object of the universe
+    with those labels over the lattice with those grades (`IndexSet` and
+    `GradeLattice` do not hash by value, so their contents are the key).
+    (kind, p, q), for kind "delta", "mu" or "eps", is that structural
+    map over powerset object p in quantale q, built by the
+    constructor the law checkers certify; keyed by the object, a map is
+    always over the index set its sentence's states are over.
+
+    Lexical input is never kept: states, verb relations and determiner
+    grades are built per sentence.  Restricted wires are fresh sets of
+    one to three subsets, so the restricted path builds its maps itself.
+    A refused powerset raises on every call, since no exception is
+    kept.  Every kept value is immutable (see `vrel`), so sharing it
+    across sentences and threads changes no value."""
+    if kind == "powerset":
+        labels, grades = key
+        return PowersetObject(IndexSet(labels), GradeLattice(grades))
+    p, q = key
+    s = p.index
+    if kind == "delta":
+        return delta(s, q)
+    if kind == "mu":
+        return mu(s, s, s, q)
+    if kind == "eps":
+        return epsilon(s, q)
+    raise ShapeMismatchError(f"no shared structural map {kind!r}")
+
+
 def _atom_vrel(atom: Atom, model: Model, wires: Dict[str, IndexSet],
-               den: _Denotations) -> VRel:
+               den: _Denotations, p: Optional[PowersetObject] = None) -> VRel:
     """The relation an atom denotes over the index sets of its wires.
 
-    A det atom is the whole effect of its determiner table; the
-    evaluator reads determiners through `_det_effect` instead."""
+    With p given, every wire is p's index and a copy, merge or cup is
+    the one `_per_lattice` keeps for p.  A det atom is the
+    whole effect of its determiner table; the evaluator reads
+    determiners through `_det_effect` instead."""
     q, t = model.quantale, model.threshold
+    if p is not None and atom.kind in ("delta", "mu", "eps"):
+        return _per_lattice(atom.kind, p, q)
     ins = [wires[w] for w in atom.wires_in]
     outs = [wires[w] for w in atom.wires_out]
     if atom.kind == "state":
@@ -703,13 +757,16 @@ def _det_effect(dets: Tuple[Atom, ...], model: Model, wires: Dict[str, IndexSet]
     return effect, stop
 
 
-def _pipeline_value(form: SentenceForm, model: Model,
-                    wires: Dict[str, IndexSet], den: _Denotations) -> float:
+def _pipeline_value(form: SentenceForm, model: Model, wires: Dict[str, IndexSet],
+                    den: _Denotations, p: Optional[PowersetObject] = None) -> float:
     """The scalar of the form's pipeline, contracted by its plan
-    (`_contraction_plan`).
+    (`_contraction_plan`); p is the powerset object every wire ranges
+    over in exhaustive mode, whose structural maps `_per_lattice` keeps.
 
     A factorwise step starts a factor at each state and composes every
-    other factor with the tensor of the atoms that read it.  The join
+    other factor with the tensor of the atoms that read it, except a
+    factor read only by identities, which it carries over as it is:
+    compose(r, identity) holds r's entries in r's order.  The join
     step joins the factors left to right, each merge or cup but the last
     by `merge_join` of the state so far, the next factor and its own
     map, so no tensor of two states is stored.  Its last merge goes
@@ -738,10 +795,13 @@ def _pipeline_value(form: SentenceForm, model: Model,
     for _, _, groups in steps:
         out = []
         for k, atoms in groups:
-            rel = reduce(tensor_rel, [_atom_vrel(atom, model, wires, den) for atom in atoms])
+            if k is not None and all(atom.kind == "id" for atom in atoms):
+                out.append(factors[k])
+                continue
+            rel = reduce(tensor_rel, [_atom_vrel(atom, model, wires, den, p) for atom in atoms])
             out.append(rel if k is None else compose(factors[k], rel))
         factors = out
-    maps = [_atom_vrel(atom, model, wires, den) for atom in layer if atom.kind != "id"]
+    maps = [_atom_vrel(atom, model, wires, den, p) for atom in layer if atom.kind != "id"]
     state = factors[0]
     for right, m in zip(factors[1:-1], maps):
         state = merge_join(state, right, m)
@@ -822,7 +882,7 @@ def eval_categorical(tree: Union[ParseTree, _Denotations], model: Model,
                  for layer in pipeline.layers
                  for atom in layer
                  for w in atom.wires_in + atom.wires_out}
-        return _pipeline_value(form, model, wires, den)
+        return _pipeline_value(form, model, wires, den, p)
 
     if form == SentenceForm.DOUBLE_QUANT:
         # Operational reading; see the module docstring.

@@ -42,7 +42,12 @@ relate, computed without composing; eta and epsilon are the name and
 coname of the identity, so the snake checks run that same re-indexing.
 
 Values are immutable after construction: no read writes a slot, so
-they are safe to share across threads.
+they are safe to share across threads.  This is load-bearing: a map's
+`_targets()` returns its stored list, not a copy, and the structural
+maps exhaustive evaluation reads are built once per powerset object and
+quantale and shared by every evaluation over that lattice, in any
+thread (`semantics._per_lattice`), so a write into a list a read
+returned would change every later value over that lattice.
 """
 
 from __future__ import annotations

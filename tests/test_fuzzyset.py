@@ -218,14 +218,15 @@ def _restrictor_and_scopes(draw):
     tuples = st.lists(grade, min_size=n, max_size=n).map(tuple)
     a = draw(tuples | st.just((0.0,) * n))
     bs = draw(st.lists(tuples, max_size=8))
-    return a, bs, draw(st.sampled_from((0.0, 0.3, 1.0)))
+    return a, bs, draw(st.sampled_from((0, 1, 0.0, 0.3, 1.0)))
 
 
 @given(_restrictor_and_scopes())
 def test_proportion_row_equals_its_one_scope_case(case):
     """The row kernel sums sigma(a) once, and each of its proportions is
     the one a single pair's sigma(a & b) / sigma(a) gives, repr for
-    repr; a restrictor of sigma-count zero gives None."""
+    repr, int thresholds included; a restrictor of sigma-count zero
+    gives None."""
     from quantrel.fuzzyset import proportion_row
     a, bs, t = case
     row = proportion_row(bs, a, t)

@@ -478,7 +478,9 @@ def test_exhaustive_stores_no_joined_state(monkeypatch):
     """Every form, both QuantSubject readings included, contracts its
     merges and cups by `vrel.merge_join` and `vrel.merge_effect`: no
     `tensor_rel` call in exhaustive mode takes the tensor of two
-    states."""
+    states.  The one layer group of two atoms, DoubleQuant's identities
+    on the verb's wires, is carried over untensored, so no call is made
+    at all."""
     model = randomize_model(qr.load_lexicon(_route_lexicon(2, [0, 0.5, 1], "product")),
                             random.Random(5))
     operands = []
@@ -494,8 +496,7 @@ def test_exhaustive_stores_no_joined_state(monkeypatch):
     assert forms == set(qr.SentenceForm) and len(sentences) > 100
     for sentence in sentences:
         qr.eval_categorical(_tree(sentence, model), model, "exhaustive")
-    assert operands
-    assert not any(r.source.is_unit() and s.source.is_unit() for r, s in operands)
+    assert operands == []
 
 
 def test_only_double_quant_stores_a_merged_state(monkeypatch):
@@ -523,9 +524,11 @@ def test_only_double_quant_stores_a_merged_state(monkeypatch):
                        for form in qr.SentenceForm}
 
 
-def _layered_value(form, model, wires, den):
+def _layered_value(form, model, wires, den, p=None):
     """The reference route: every layer built after the whole composed
-    state and composed with it, one layer at a time, with no factors."""
+    state and composed with it, one layer at a time, with no factors;
+    every atom is built afresh, not read from the maps exhaustive mode
+    keeps for the powerset object p."""
     from quantrel.semantics import _PIPELINES, _atom_vrel
     state = None
     for layer in _PIPELINES[form].layers:
@@ -940,6 +943,133 @@ def test_verb_relation_builds_one_row_per_distinct_image(monkeypatch):
         for (_, j), g in qr.lexical_state(image, p, qr.PRODUCT).entries().items():
             want[(i, j)] = g
     assert rel.entries() == want and want
+
+
+# -- what exhaustive mode shares per lattice ------------------------------------
+
+
+def _fresh_maps(s, q):
+    """Each structural map exhaustive mode keeps, built afresh by the
+    constructor the law checkers certify."""
+    return {"delta": qr.delta(s, q), "mu": qr.mu(s, s, s, q), "eps": qr.epsilon(s, q)}
+
+
+def test_models_over_one_lattice_share_one_powerset():
+    """Two models with equal universe labels and grades share one
+    powerset object; another lattice, another universe, or a model whose
+    lattice was reassigned gets its own, equal to a fresh one."""
+    a = qr.load_lexicon(_tiny_lexicon([0, 0.5, 1]))
+    b = qr.load_lexicon(_tiny_lexicon([0, 0.5, 1], "product"))
+    assert a.universe is not b.universe and a.grades is not b.grades
+    assert a.powerset() is b.powerset() is a.powerset()
+    finer = qr.load_lexicon(_tiny_lexicon([0, 0.25, 0.5, 1]))
+    wider = qr.load_lexicon(_route_lexicon(2, [0, 0.5, 1], "godel"))
+    reassigned = qr.load_lexicon(_tiny_lexicon([0, 0.5, 1]))
+    reassigned.grades = qr.GradeLattice([0, 0.5, 0.75, 1])
+    for model in (finer, wider, reassigned):
+        p = model.powerset()
+        assert p is not a.powerset()
+        fresh = qr.PowersetObject(model.universe, model.grades)
+        assert p.enumeration == fresh.enumeration
+        assert p.universe == model.universe and p.lattice == model.grades
+    assert finer.powerset() is not reassigned.powerset()
+
+
+@pytest.mark.parametrize("size, grades", [(2, [0, 0.5, 1]), (2, [0, 0.25, 0.75, 1]),
+                                          (3, [0, 0.5, 1]), (3, [0, 0.25, 0.75, 1])])
+@pytest.mark.parametrize("quantale", ["godel", "product", "lukasiewicz", "boolean"])
+def test_shared_maps_equal_fresh_constructors(size, grades, quantale):
+    """At |P| = 9, 16, 27 and 64 on all four quantales, each map kept for
+    a powerset object is one object per (powerset, quantale) and equals
+    its constructor's fresh output."""
+    from quantrel.semantics import _per_lattice
+    model = qr.load_lexicon(_route_lexicon(size, grades, quantale))
+    p, q = model.powerset(), model.quantale
+    assert len(p) == len(grades) ** size
+    for kind, fresh in _fresh_maps(p.index, q).items():
+        kept = _per_lattice(kind, p, q)
+        assert kept is _per_lattice(kind, p, q)
+        assert kept.quantale is q and kept.equal(fresh), kind
+
+
+def test_refused_powerset_raises_on_every_call(monkeypatch):
+    """No exception is kept: a lattice whose powerset the guard refuses
+    is checked and refused again on every call, by `Model.powerset` and
+    by exhaustive evaluation alike."""
+    from quantrel.semantics import _per_lattice
+    checks = []
+    check = qr.bialgebra.check_powerset_size
+
+    def counting(n, lattice):
+        checks.append(n)
+        return check(n, lattice)
+
+    model = qr.load_lexicon(_route_lexicon(15, [0, 0.5, 1], "godel"))
+    tree = _tree("john run", model)
+    monkeypatch.setattr(qr.bialgebra, "check_powerset_size", counting)
+    kept = _per_lattice.cache_info().currsize
+    for calls in range(1, 4):
+        with pytest.raises(qr.EnumerationLimitError, match="3\\^15 subsets"):
+            model.powerset()
+        with pytest.raises(qr.EnumerationLimitError, match="3\\^15 subsets"):
+            qr.eval_categorical(tree, model, "exhaustive")
+        assert checks == [15] * (2 * calls)
+    assert _per_lattice.cache_info().currsize == kept
+
+
+def test_shared_structure_stays_within_its_bound():
+    """More lattices than the bound evict the least recently used
+    entries: the cache never holds more than PER_LATTICE_CACHE_SIZE."""
+    from quantrel.semantics import PER_LATTICE_CACHE_SIZE, _per_lattice
+    bound = _per_lattice.cache_info().maxsize
+    assert bound == PER_LATTICE_CACHE_SIZE
+    for i in range(1, bound + 6):
+        model = qr.load_lexicon(_tiny_lexicon([0, i / (bound + 6), 1]))
+        for sentence in ("john run", "every men run"):
+            qr.eval_categorical(_tree(sentence, model), model, "exhaustive")
+        assert _per_lattice.cache_info().currsize <= bound
+    assert _per_lattice.cache_info().currsize == bound
+
+
+@pytest.mark.parametrize("quantale", ["godel", "product", "lukasiewicz", "boolean"])
+def test_shared_maps_are_unchanged_by_evaluation(quantale):
+    """Aliasing guard: the maps every exhaustive evaluation over one
+    lattice reads are the same objects after a batch of them, and each
+    one's target list still equals a fresh build."""
+    from quantrel.semantics import _per_lattice
+    model = randomize_model(qr.load_lexicon(_route_lexicon(2, [0, 0.5, 1], quantale)),
+                            random.Random(29))
+    p, q = model.powerset(), model.quantale
+    before = {kind: _per_lattice(kind, p, q) for kind in ("delta", "mu", "eps")}
+    sentences = _all_sentences(model, rng=random.Random(30), most=12)
+    for sentence in sentences:
+        _value_or_error(_tree(sentence, model), model, "exhaustive")
+    assert model.powerset() is p
+    for kind, fresh in _fresh_maps(p.index, q).items():
+        kept = _per_lattice(kind, p, q)
+        assert kept is before[kind]
+        assert kept._targets() == fresh._targets(), kind
+
+
+@pytest.mark.parametrize("quantale", ["godel", "product", "lukasiewicz", "boolean"])
+def test_cold_and_warm_evaluations_match_brute_force(quantale):
+    """The first evaluation over a lattice builds what it shares and
+    later ones read it; both give the brute-force value with ==."""
+    from quantrel.semantics import _per_lattice
+    crisp = quantale == "boolean"
+    template = qr.load_lexicon(_tiny_lexicon([0, 1] if crisp else [0, 0.5, 1], quantale))
+    model = randomize_model(template, random.Random(31), crisp=crisp)
+    sentences = ["john run", "several men run", "john see john",
+                 "john see several men", "some men see every men"]
+    if crisp:
+        sentences = [s for s in sentences if "several" not in s]
+    _per_lattice.cache_clear()
+    cold = [qr.eval_categorical(_tree(s, model), model, "exhaustive") for s in sentences]
+    assert _per_lattice.cache_info().misses > 0
+    hits = _per_lattice.cache_info().hits
+    warm = [qr.eval_categorical(_tree(s, model), model, "exhaustive") for s in sentences]
+    assert _per_lattice.cache_info().hits > hits
+    assert cold == warm == [brute.score(model, s) for s in sentences]
 
 
 # -- guards and errors -----------------------------------------------------------
