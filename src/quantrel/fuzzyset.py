@@ -30,6 +30,15 @@ class FuzzySet:
             raise ShapeMismatchError("one grade per universe element required")
 
     @classmethod
+    def _from_grades(cls, universe: IndexSet, grades: Sequence[float]) -> "FuzzySet":
+        """A set of `grades` as given, unchecked: the caller guarantees
+        one float in [0, 1] per universe element."""
+        fs = cls.__new__(cls)
+        fs.universe = universe
+        fs.grades = tuple(grades)
+        return fs
+
+    @classmethod
     def from_dict(cls, universe: IndexSet, mapping: Mapping[object, float]) -> "FuzzySet":
         """Elements absent from the mapping get membership 0."""
         unknown = set(mapping) - set(universe.elements)
@@ -98,6 +107,18 @@ class FuzzyRelation:
             if g > 0.0:
                 rows[i].append((j, g))
         self.rows = tuple(map(tuple, rows))
+
+    @classmethod
+    def _from_rows(cls, universe: IndexSet,
+                   rows: Tuple[Tuple[Tuple[int, float], ...], ...]) -> "FuzzyRelation":
+        """A relation over `rows` as given, unchecked: the caller
+        guarantees one tuple per universe element, each of (j, grade)
+        pairs in ascending j with j a universe position and grade a float
+        in (0, 1], which is what `__init__` would have built."""
+        rel = cls.__new__(cls)
+        rel.universe = universe
+        rel.rows = rows
+        return rel
 
     @classmethod
     def from_crisp(cls, rel: CrispRel) -> "FuzzyRelation":

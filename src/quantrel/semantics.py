@@ -282,12 +282,14 @@ def eval_crisp_truth(tree: Union[ParseTree, _Denotations], model: Model) -> bool
         obj = den.obj.support()
         return gq_holds(den.obj_det, obj, obj & den.subj_image.support())
     # DOUBLE_QUANT: object condition nested inside the subject condition.
+    # The image of the crisp singleton {x} through the verb is the
+    # support of x's row, the objects j with a pair (x, j), so the
+    # inner condition reads that row.
     obj = den.obj.support()
-    u = model.universe
+    labels = model.universe.elements
     vp_set = frozenset(
-        x for x in u.elements
-        if gq_holds(den.obj_det, obj, obj & verb_image(
-            den.verb, FuzzySet.from_support(u, (x,))).support()))
+        x for x, row in zip(labels, den.verb.rows)
+        if gq_holds(den.obj_det, obj, obj.intersection([labels[j] for j, _ in row])))
     return gq_holds(den.subj_det, subj, subj & vp_set)
 
 
